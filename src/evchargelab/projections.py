@@ -48,14 +48,6 @@ def project_capped_simplex(v: np.ndarray, upper: np.ndarray, total: float) -> np
     return np.clip(v - tau, 0.0, upper)
 
 
-def project_box_capped_sum(v: np.ndarray, upper: np.ndarray, cap: float) -> np.ndarray:
-    """Project v onto {x : 0 <= x <= upper, sum(x) <= cap}."""
-    x = np.clip(np.asarray(v, dtype=float), 0.0, upper)
-    if x.sum() <= cap:
-        return x
-    return project_capped_simplex(v, upper, cap)
-
-
 def project_rows_capped_simplex(
     V: np.ndarray, upper_rows: np.ndarray, totals: np.ndarray, mask: np.ndarray
 ) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 The offline problem is a convex QP (strictly convex in the per-slot
 aggregates when k1 > 0). It is solved with accelerated projected gradient
-descent; the feasible-set projection is exact when the load cap is slack
-and falls back to Dykstra's alternating projections when the cap binds.
+descent. The feasible-set projection is exact: a row-wise capped-simplex
+projection when the load cap is slack, and projected Newton on the slot
+multipliers of the cap when it binds. Whether a finite load cap admits the
+demands at all is decided once per solve by a max-flow, whose minimum cut
+is the infeasibility certificate.
 """
 
 from __future__ import annotations
@@ -13,16 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ChargingSchedule, EVProfile, Scenario
-from .projections import (
-    project_capped_simplex,
-    project_cols_box_capped,
-    project_cols_capped_simplex,
-    project_rows_capped_simplex,
-)
+from .projections import _row_shifts, project_cols_capped_simplex, project_rows_capped_simplex
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 50000
-_DYKSTRA_MAX_ITER = 2000
+_ALTERNATING_MAX_ITER = 2000  # rounds of project_allocation's alternating projections
+_NEWTON_MAX_ITER = 100
+_NEWTON_TOL = 1e-12  # dual residual, relative to the largest slot room
+_ARMIJO_MAX_HALVINGS = 40
 
 
 class SolverError(RuntimeError):
@@ -76,29 +77,167 @@ def _check_per_ev_feasibility(scenario: Scenario, tol: float):
             )
 
 
-def _project_feasible(B, scenario: Scenario, mask, b_max, demands, caps, tol: float):
-    """Project onto {demand equalities, box, aggregate cap} (Dykstra if cap binds)."""
-    X = project_rows_capped_simplex(B, b_max, demands, mask)
-    if np.all(X.sum(axis=0) <= caps + tol):
-        return X
-    # Dykstra between the row set (demand simplexes) and the capped-column set.
-    P = np.zeros_like(X)
-    Q = np.zeros_like(X)
-    for _ in range(_DYKSTRA_MAX_ITER):
-        Y = project_cols_box_capped(X + P, b_max, mask, caps)
-        P = X + P - Y
-        X_new = project_rows_capped_simplex(Y + Q, b_max, demands, mask)
-        Q = Y + Q - X_new
-        if np.max(np.abs(X_new - X)) < 0.1 * tol and np.all(X_new.sum(axis=0) <= caps + tol):
-            return X_new
-        X = X_new
-    if np.all(X.sum(axis=0) <= caps + 10 * tol):
-        return X
-    worst = int(np.argmax(X.sum(axis=0) - caps))
+def _max_flow(supply, upper, room):
+    """Max-flow source -> EV i (supply[i]) -> slot t (upper[i, t]) -> sink (room[t]).
+
+    Dinic's blocking-flow method (Dinic 1970) on the residual graph. Returns
+    the flow value and the source side of a minimum cut as boolean masks
+    over EVs and slots.
+    """
+    n, T = upper.shape
+    sink = n + T + 1
+    head, cap, adj = [], [], [[] for _ in range(sink + 1)]
+
+    def add(u, v, c):
+        adj[u].append(len(head))
+        head.append(v)
+        cap.append(float(c))
+        adj[v].append(len(head))
+        head.append(u)
+        cap.append(0.0)
+
+    for i in range(n):
+        add(0, 1 + i, supply[i])
+    for i, t in zip(*np.nonzero(upper > 0.0)):
+        add(1 + i, 1 + n + t, upper[i, t])
+    for t in range(T):
+        add(1 + n + t, sink, room[t])
+    eps = 1e-12 * max(1.0, float(np.sum(supply)))
+    flow = 0.0
+    while True:
+        level = [-1] * (sink + 1)
+        level[0] = 0
+        queue = [0]
+        for u in queue:
+            for e in adj[u]:
+                if cap[e] > eps and level[head[e]] < 0:
+                    level[head[e]] = level[u] + 1
+                    queue.append(head[e])
+        if level[sink] < 0:
+            break
+        # Blocking flow: advance along level edges, retreat from dead ends.
+        nxt = [0] * (sink + 1)
+        path, u = [], 0
+        while True:
+            if u == sink:
+                pushed = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                flow += pushed
+                path, u = [], 0
+                continue
+            edges = adj[u]
+            while nxt[u] < len(edges):
+                e = edges[nxt[u]]
+                if cap[e] > eps and level[head[e]] == level[u] + 1:
+                    break
+                nxt[u] += 1
+            else:
+                if not path:
+                    break
+                u = head[path.pop() ^ 1]
+                nxt[u] += 1
+                continue
+            path.append(e)
+            u = head[e]
+    side = np.array(level) >= 0
+    return flow, side[1 : n + 1], side[n + 1 : sink]
+
+
+def _check_cap_feasibility(scenario: Scenario, mask, b_max, demands, caps, tol: float):
+    """Raise InfeasibleScenarioError, with a minimum cut, unless the load cap admits every demand."""
+    upper = np.where(mask, b_max[:, None], 0.0)
+    flow, evs, slots = _max_flow(demands, upper, caps)
+    if flow >= demands.sum() - tol:
+        return
+    need = float(demands[evs].sum())
+    through = float(upper[evs][:, ~slots].sum() + caps[slots].sum())
+    ids = ", ".join(str(ev.id) for ev, cut in zip(scenario.evs, evs) if cut)
+    cut_slots = ", ".join(str(t + 1) for t in np.nonzero(slots)[0])
     raise InfeasibleScenarioError(
-        f"aggregate load cap unreachable: slot {worst + 1} needs "
-        f"{X.sum(axis=0)[worst] + scenario.base_load[worst]:.3f} kWh against cap {scenario.load_cap}"
+        f"aggregate load cap {scenario.load_cap} unreachable: EVs {ids} need {need:.3f} kWh, "
+        f"but the cap at slots {cut_slots} and the EVs' rate limits in their other slots "
+        f"let through only {through:.3f} kWh"
     )
+
+
+def _feasible_projector(mask, b_max, demands, caps, tol: float):
+    """Euclidean projection onto {row sums = demands, 0 <= x <= b_max in window, column sums <= caps}.
+
+    Without a binding cap this is the row-wise capped-simplex projection.
+    Otherwise it maximizes the concave dual over the slot multipliers
+    mu >= 0, where x(mu) is the row projection of B - mu and the dual
+    gradient is colsum(x(mu)) - caps, by projected Newton (Bertsekas 1982).
+    The generalized Hessian is diag(f) - F' diag(1/|F_i|) F, F marking the
+    entries strictly inside their bounds; rows with no free entry add
+    nothing. mu is kept between calls as the next call's warm start. The
+    caller must have checked that the capped set is not empty.
+    """
+    upper = np.where(mask, b_max[:, None], 0.0)
+    totals = np.clip(demands, 0.0, upper.sum(axis=1))
+    # A cap above what a slot can ever take never binds; this keeps room finite.
+    room = np.minimum(caps, upper.sum(axis=0) + 1.0)
+    scale = max(1.0, float(np.max(room)))
+    mu = np.zeros(len(caps))
+
+    def dual(V, m):
+        """x(m), the gradient room - colsum(x(m)) of the negated dual, and its value."""
+        W = V - m
+        X = np.clip(W - _row_shifts(W, upper, totals)[:, None], 0.0, upper)
+        grad = room - X.sum(axis=0)
+        return X, grad, float(m @ grad - 0.5 * np.sum((X - V) ** 2))
+
+    def stationarity(m, grad):
+        """Largest violation of mu >= 0, grad >= 0, mu * grad = 0."""
+        return float(np.abs(m - np.maximum(m - grad, 0.0)).max())
+
+    def project(B):
+        nonlocal mu
+        X = project_rows_capped_simplex(B, b_max, demands, mask)
+        if np.all(X.sum(axis=0) <= caps):
+            return X
+        V = np.where(mask, B, 0.0)
+        X, grad, value = dual(V, mu)
+        residual = stationarity(mu, grad)
+        for _iteration in range(_NEWTON_MAX_ITER):
+            if residual <= _NEWTON_TOL * scale:
+                break
+            # The residual sets both the band of multipliers held at 0 and
+            # the regularization, so both vanish as the iterates converge.
+            eps = min(residual, 1.0)
+            held = (mu <= eps) & (grad > 0.0)
+            free = ~held
+            F = ((X > 0.0) & (X < upper)).astype(float)
+            counts = F.sum(axis=1)
+            weights = np.where(counts > 0.0, 1.0 / np.maximum(counts, 1.0), 0.0)
+            H = np.diag(F.sum(axis=0)) - (F * weights[:, None]).T @ F
+            H = H[np.ix_(free, free)] + eps * np.eye(int(free.sum()))
+            step = np.where(held, -grad, 0.0)
+            step[free] = -np.linalg.solve(H, grad[free])
+            alpha = 1.0
+            for _halving in range(_ARMIJO_MAX_HALVINGS):
+                trial = np.maximum(mu + alpha * step, 0.0)
+                X_t, grad_t, value_t = dual(V, trial)
+                residual_t = stationarity(trial, grad_t)
+                gain = -alpha * (grad[free] @ step[free]) + grad[held] @ (mu[held] - trial[held])
+                if value - value_t >= 1e-4 * gain:
+                    break
+                # Near the optimum the dual moves by less than its rounding
+                # error; a step that halves the residual is then taken as is.
+                if abs(value - value_t) <= 1e-12 * (1.0 + abs(value)) and residual_t <= 0.5 * residual:
+                    break
+                alpha *= 0.5
+            else:
+                break
+            mu, X, grad, value, residual = trial, X_t, grad_t, value_t, residual_t
+        if np.any(X.sum(axis=0) > caps + tol):
+            raise ConvergenceError(
+                f"capped projection stalled: column excess {np.max(X.sum(axis=0) - caps):.3g} kWh"
+            )
+        return X
+
+    return project
 
 
 def _objective(S, lb, pm):
@@ -121,8 +260,9 @@ def solve_offline(scenario: Scenario, tol: float = DEFAULT_TOL, max_iter: int = 
     b_max = scenario.b_max_vector
     demands = scenario.demand_vector
     caps = np.full(T, scenario.load_cap) - lb
-
-    project = lambda B: _project_feasible(B, scenario, mask, b_max, demands, caps, tol)
+    if np.isfinite(scenario.load_cap):
+        _check_cap_feasibility(scenario, mask, b_max, demands, caps, tol)
+    project = _feasible_projector(mask, b_max, demands, caps, tol)
 
     if pm.k1 == 0.0:
         # Linear objective with fixed per-EV totals: every feasible point is
@@ -155,7 +295,7 @@ def solve_offline(scenario: Scenario, tol: float = DEFAULT_TOL, max_iter: int = 
         # The check must also run on restart iterations: an iterate parked at
         # the optimum can oscillate by one float epsilon and restart forever.
         if iterations % 10 == 0 or iterations == max_iter:
-            residual = kkt_residual(B, scenario, mask, b_max, demands, caps, tol)
+            residual = _kkt_residual(B, scenario, mask, project)
             if residual <= tol:
                 break
     else:  # pragma: no cover - loop always breaks or exhausts via range
@@ -172,12 +312,16 @@ def kkt_residual(B, scenario: Scenario, mask=None, b_max=None, demands=None, cap
         b_max = scenario.b_max_vector
         demands = scenario.demand_vector
         caps = np.full(scenario.horizon, scenario.load_cap) - scenario.base_load
+    return _kkt_residual(B, scenario, mask, _feasible_projector(mask, b_max, demands, caps, tol))
+
+
+def _kkt_residual(B, scenario: Scenario, mask, project) -> float:
     pm = scenario.price
     S = B.sum(axis=0)
     grad_slot = pm.k0 + 2.0 * pm.k1 * (S + scenario.base_load)
     G = np.where(mask, grad_slot[None, :], 0.0)
     step = 1.0 / (2.0 * pm.k1 * max(scenario.n_evs, 1)) if pm.k1 > 0 else 1.0
-    moved = _project_feasible(B - step * G, scenario, mask, b_max, demands, caps, tol)
+    moved = project(B - step * G)
     return float(np.max(np.abs(B - moved)) / step)
 
 
@@ -243,6 +387,8 @@ def project_allocation(aggregate_target, scenario: Scenario, tol: float = DEFAUL
     b_max = scenario.b_max_vector
     demands = scenario.demand_vector
     caps = np.full(scenario.horizon, scenario.load_cap) - scenario.base_load
+    if np.isfinite(scenario.load_cap):
+        _check_cap_feasibility(scenario, mask, b_max, demands, caps, tol)
     slot_capacity = np.minimum((np.where(mask, b_max[:, None], 0.0)).sum(axis=0), caps)
     clipped = np.clip(target, 0.0, slot_capacity)
     clip_magnitude = float(np.sum(np.abs(target - clipped)))
@@ -257,10 +403,11 @@ def project_allocation(aggregate_target, scenario: Scenario, tol: float = DEFAUL
     def project_target(V):
         return project_cols_capped_simplex(np.where(mask, V, 0.0), upper, clipped)
 
-    B = _project_feasible(project_target(np.zeros((n, scenario.horizon))), scenario, mask, b_max, demands, caps, tol)
+    project = _feasible_projector(mask, b_max, demands, caps, tol)
+    B = project(project_target(np.zeros((n, scenario.horizon))))
     B_star = project_target(B)
-    for _ in range(_DYKSTRA_MAX_ITER):
-        B_new = _project_feasible(B_star, scenario, mask, b_max, demands, caps, tol)
+    for _ in range(_ALTERNATING_MAX_ITER):
+        B_new = project(B_star)
         B_star_new = project_target(B_new)
         delta = max(np.max(np.abs(B_new - B)), np.max(np.abs(B_star_new - B_star)))
         B, B_star = B_new, B_star_new

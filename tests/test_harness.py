@@ -1,9 +1,12 @@
 """Experiment runner, report emission, and CLI tests."""
 
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from evchargelab import cli
+from evchargelab import cli, harness
 from evchargelab.harness import (
     METRICS_HEADER,
     AemSettings,
@@ -167,6 +170,36 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert any(f.algorithm == "EC" for f in result.failures)
         assert any(m.algorithm == "OA" for m in result.metrics)
+
+
+class TestSharedTraining:
+    def test_wall_time_excludes_only_this_calls_training(self, monkeypatch):
+        # Training made to last at least 0.2 s: seed 1 trains and must not
+        # count it; seeds 2 and 3 reuse the policy and still report their
+        # own scheduling time.
+        for name in ("train_sca", "train_calc_stage1"):
+            def slow(*args, _train=getattr(harness, name), **kwargs):
+                time.sleep(0.2)
+                return _train(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, slow)
+        result = run_experiment(fast_cfg(algorithms=("SCA", "CALC"), seeds=(1, 2, 3)))
+        assert result.ok, result.failures
+        assert len(result.metrics) == 6
+        for m in result.metrics:
+            assert m.wall_time_ms > 0.0
+            assert m.train_time_ms >= 200.0
+            if m.seed == 1:
+                assert m.wall_time_ms < 200.0
+
+    def test_calc_trains_with_its_own_seed(self):
+        def calc_policy(seed):
+            cfg = fast_cfg(algorithms=("CALC",))
+            cfg = replace(cfg, calc=replace(cfg.calc, seed=seed))
+            return harness._Trainer(cfg).policy("CALC", 1)[0]
+
+        one, seven = calc_policy(1), calc_policy(7)
+        assert any(not np.array_equal(a, b) for a, b in zip(one.arrays(), seven.arrays()))
 
 
 class TestSweep:

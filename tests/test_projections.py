@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from evchargelab.projections import (
-    project_box_capped_sum,
     project_capped_simplex,
     project_cols_box_capped,
     project_rows_capped_simplex,
@@ -65,23 +64,6 @@ class TestCappedSimplex:
                     assert np.sum((x - v) ** 2) <= np.sum((y - v) ** 2) + 1e-9
 
 
-class TestBoxCappedSum:
-    def test_interior_untouched(self):
-        v = np.array([1.0, 1.0])
-        x = project_box_capped_sum(v, np.full(2, 3.0), cap=10.0)
-        assert x == pytest.approx(v)
-
-    def test_cap_binds(self):
-        v = np.array([3.0, 3.0])
-        x = project_box_capped_sum(v, np.full(2, 3.0), cap=4.0)
-        assert x.sum() == pytest.approx(4.0)
-        assert x == pytest.approx([2.0, 2.0])
-
-    def test_box_clip(self):
-        x = project_box_capped_sum(np.array([-1.0, 9.0]), np.array([2.0, 2.0]), cap=10.0)
-        assert x == pytest.approx([0.0, 2.0])
-
-
 class TestBatchedVariants:
     def test_rows_match_single_row_calls(self, rng):
         n, t = 4, 6
@@ -105,5 +87,7 @@ class TestBatchedVariants:
         caps = np.array([2.0, 4.0, 1.0])
         out = project_cols_box_capped(v, upper, mask, caps)
         for c in range(t):
-            ref = project_box_capped_sum(v[:, c], upper, caps[c])
+            ref = np.clip(v[:, c], 0.0, upper)
+            if ref.sum() > caps[c]:
+                ref = project_capped_simplex(v[:, c], upper, caps[c])
             assert out[:, c] == pytest.approx(ref, abs=1e-8)

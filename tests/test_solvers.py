@@ -1,11 +1,24 @@
-"""Offline oracle, rolling step, and projection allocator tests."""
+"""Offline oracle, rolling step, and projection allocator tests.
 
+SciPy (QP and LP references) and networkx (max-flow) serve only as
+oracles here; the library itself is NumPy-only.
+"""
+
+from dataclasses import replace
+from functools import lru_cache
+
+import networkx as nx
 import numpy as np
 import pytest
+from scipy.optimize import linprog, minimize
 
+from evchargelab.harness import benchmark_spec, build_scenario
 from evchargelab.model import ChargingSchedule, horizon_cost, validate_schedule
+from evchargelab.projections import project_rows_capped_simplex
 from evchargelab.solvers import (
     InfeasibleScenarioError,
+    _feasible_projector,
+    _max_flow,
     kkt_residual,
     project_allocation,
     solve_offline,
@@ -100,10 +113,29 @@ class TestSolveOffline:
             solve_offline(scn)
 
     def test_infeasible_cap_detected(self):
+        # 12 kWh of demand against 4 kWh of room in each of slots 1 and 2:
+        # the minimum cut holds all three EVs and both slots.
         evs = [make_ev(i, 1, 2, demand=4.0, b_max=2.0) for i in range(3)]
         scn = make_scenario(evs, horizon=2, base_load=[4.0, 4.0], load_cap=8.0)
-        with pytest.raises(InfeasibleScenarioError):
+        with pytest.raises(InfeasibleScenarioError, match=r"EVs 0, 1, 2 need 12\.000 kWh.*slots 1, 2 .*8\.000 kWh"):
             solve_offline(scn)
+
+    def test_infeasible_cap_refused_by_allocation(self):
+        evs = [make_ev(i, 1, 2, demand=4.0, b_max=2.0) for i in range(3)]
+        scn = make_scenario(evs, horizon=2, base_load=[4.0, 4.0], load_cap=8.0)
+        with pytest.raises(InfeasibleScenarioError, match="slots 1, 2 "):
+            project_allocation(np.array([6.0, 6.0]), scn)
+
+    def test_tight_cap_solves_at_uncapped_cost(self):
+        # Regression (fault F2): 1.001x the least achievable peak of fleet 104
+        # was reported infeasible. On its flat base load the uncapped optimum
+        # already has the least peak, so the capped cost must equal it.
+        scn, peak = fleet_104()
+        uncapped = solve_offline(scn)
+        capped = replace(scn, load_cap=1.001 * peak)
+        sol = solve_offline(capped)
+        assert validate_schedule(sol.schedule, capped, tol=1e-6).passed
+        assert sol.objective == pytest.approx(uncapped.objective, rel=1e-9)
 
     def test_load_cap_respected(self):
         evs = [make_ev(i, 1, 4, demand=6.0, b_max=3.0) for i in range(2)]
@@ -126,6 +158,140 @@ class TestSolveOffline:
         sol = solve_offline(scn)
         assert sol.iterations < 1000
         assert sol.objective == pytest.approx(0.72830450654, abs=1e-8)
+
+
+@lru_cache(maxsize=None)
+def fleet_104():
+    """Shipped-distribution fleet 104 and its least achievable peak."""
+    scn = build_scenario(benchmark_spec(), 104)[0]
+    return scn, lp_min_peak(scn)
+
+
+def lp_min_peak(scn):
+    """Least achievable peak of base plus EV load (LP reference)."""
+    mask = scn.window_mask()
+    rows, cols = np.nonzero(mask)
+    m = rows.size
+    a_eq = np.zeros((scn.n_evs, m + 1))
+    a_eq[rows, np.arange(m)] = 1.0
+    a_ub = np.zeros((scn.horizon, m + 1))
+    a_ub[cols, np.arange(m)] = 1.0
+    a_ub[:, -1] = -1.0
+    bounds = [(0.0, scn.b_max_vector[i]) for i in rows] + [(None, None)]
+    cost = np.zeros(m + 1)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=-scn.base_load, A_eq=a_eq, b_eq=scn.demand_vector,
+                  bounds=bounds, method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+def qp_projection(V, mask, b_max, demands, caps):
+    """Reference projection onto the capped set by SciPy's SLSQP."""
+    rows, cols = np.nonzero(mask)
+    m = rows.size
+    a_eq = np.zeros((mask.shape[0], m))
+    a_eq[rows, np.arange(m)] = 1.0
+    a_ub = np.zeros((mask.shape[1], m))
+    a_ub[cols, np.arange(m)] = 1.0
+    v = V[mask]
+    constraints = [
+        {"type": "eq", "fun": lambda x: a_eq @ x - demands, "jac": lambda x: a_eq},
+        {"type": "ineq", "fun": lambda x: caps - a_ub @ x, "jac": lambda x: -a_ub},
+    ]
+    start = project_rows_capped_simplex(V, b_max, demands, mask)[mask]
+    res = minimize(lambda x: 0.5 * np.sum((x - v) ** 2), start, jac=lambda x: x - v, method="SLSQP",
+                   bounds=[(0.0, b_max[i]) for i in rows], constraints=constraints,
+                   options={"ftol": 1e-16, "maxiter": 500})
+    X = np.zeros(mask.shape)
+    X[mask] = res.x
+    return X
+
+
+def random_capped_instance(rng):
+    """Windows, rates, demands and binding caps that some schedule meets.
+
+    About a quarter of the EVs need their full rate in every slot, which
+    leaves their rows with no entry strictly inside its bounds.
+    """
+    n, horizon = int(rng.integers(2, 9)), int(rng.integers(2, 10))
+    mask = np.zeros((n, horizon), dtype=bool)
+    b_max = rng.uniform(1.0, 4.0, n)
+    for i in range(n):
+        start = int(rng.integers(0, horizon))
+        mask[i, start : int(rng.integers(start, horizon)) + 1] = True
+    full = rng.random(n) < 0.25
+    demands = np.where(full, b_max * mask.sum(axis=1), rng.uniform(0.0, 1.0, n) * b_max * mask.sum(axis=1))
+    feasible = project_rows_capped_simplex(rng.normal(1.0, 2.0, (n, horizon)), b_max, demands, mask)
+    caps = feasible.sum(axis=0) + rng.uniform(0.0, 0.5, horizon)
+    return mask, b_max, demands, caps
+
+
+def networkx_max_flow(mask, b_max, demands, caps):
+    graph = nx.DiGraph()
+    for i, d in enumerate(demands):
+        graph.add_edge("source", ("ev", i), capacity=float(d))
+    for i, t in zip(*np.nonzero(mask)):
+        graph.add_edge(("ev", i), ("slot", t), capacity=float(b_max[i]))
+    for t, c in enumerate(caps):
+        graph.add_edge(("slot", t), "sink", capacity=float(c))
+    return nx.maximum_flow_value(graph, "source", "sink")
+
+
+class TestCappedProjection:
+    def test_matches_qp_reference(self):
+        # The last instance is fleet 104 at 1.02x its least peak, where
+        # Dykstra started from the row projection of V instead of from V
+        # misses the projection: 0.5*|X - V|^2 = 652.23 against 635.10.
+        rng = np.random.default_rng(2024)
+        instances = [random_capped_instance(rng) for _ in range(19)]
+        scn, peak = fleet_104()
+        scn = replace(scn, load_cap=1.02 * peak)
+        instances.append((scn.window_mask(), scn.b_max_vector, scn.demand_vector, scn.load_cap - scn.base_load))
+        for k, (mask, b_max, demands, caps) in enumerate(instances):
+            V = (np.random.default_rng(0).normal(2.0, 2.0, mask.shape) if k == 19
+                 else rng.normal(1.0, 3.0, mask.shape))
+            X = _feasible_projector(mask, b_max, demands, caps, 1e-6)(V)
+            assert np.max(np.abs(X - qp_projection(V, mask, b_max, demands, caps))) <= 1e-9
+
+    def test_warm_start_keeps_the_answer(self):
+        rng = np.random.default_rng(7)
+        mask, b_max, demands, caps = random_capped_instance(rng)
+        warm = _feasible_projector(mask, b_max, demands, caps, 1e-6)
+        for _ in range(5):
+            V = rng.normal(1.0, 3.0, mask.shape)
+            cold = _feasible_projector(mask, b_max, demands, caps, 1e-6)(V)
+            assert warm(V) == pytest.approx(cold, abs=1e-10)
+
+
+class TestCapFeasibility:
+    def test_flow_matches_networkx(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            mask, b_max, demands, caps = random_capped_instance(rng)
+            caps = caps * rng.uniform(0.5, 1.2, caps.size)  # some unreachable
+            upper = np.where(mask, b_max[:, None], 0.0)
+            flow, evs, slots = _max_flow(demands, upper, caps)
+            assert flow == pytest.approx(networkx_max_flow(mask, b_max, demands, caps), abs=1e-9)
+            # The source side is a minimum cut: its capacity is the flow.
+            cut = demands[~evs].sum() + upper[evs][:, ~slots].sum() + caps[slots].sum()
+            assert cut == pytest.approx(flow, abs=1e-9)
+
+    @pytest.mark.parametrize("factor, feasible", [(0.97, False), (1.001, True)])
+    def test_fleet_104_verdict(self, factor, feasible):
+        scn, peak = fleet_104()
+        scn = replace(scn, load_cap=factor * peak)
+        mask, b_max, demands = scn.window_mask(), scn.b_max_vector, scn.demand_vector
+        caps = scn.load_cap - scn.base_load
+        reference = networkx_max_flow(mask, b_max, demands, caps)
+        flow, _, _ = _max_flow(demands, np.where(mask, b_max[:, None], 0.0), caps)
+        assert flow == pytest.approx(reference, abs=1e-9)
+        assert bool(reference >= demands.sum() - 1e-6) == feasible
+        if feasible:
+            solve_offline(scn)
+        else:
+            with pytest.raises(InfeasibleScenarioError, match="unreachable"):
+                solve_offline(scn)
 
 
 class TestKktResidual:
