@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog, minimize
 
+from evchargelab.baselines import ec_schedule
 from evchargelab.harness import benchmark_spec, build_scenario
 from evchargelab.model import ChargingSchedule, horizon_cost, validate_schedule
 from evchargelab.projections import project_rows_capped_simplex
@@ -271,8 +272,13 @@ class TestCapFeasibility:
             mask, b_max, demands, caps = random_capped_instance(rng)
             caps = caps * rng.uniform(0.5, 1.2, caps.size)  # some unreachable
             upper = np.where(mask, b_max[:, None], 0.0)
-            flow, evs, slots = _max_flow(demands, upper, caps)
-            assert flow == pytest.approx(networkx_max_flow(mask, b_max, demands, caps), abs=1e-9)
+            flow, evs, slots, X = _max_flow(demands, upper, caps)
+            reference = networkx_max_flow(mask, b_max, demands, caps)
+            assert flow == pytest.approx(reference, abs=1e-9)
+            # The flow matrix is a feasible flow of that value.
+            assert X.min() >= 0.0 and np.all(X <= upper)
+            assert np.all(X.sum(axis=1) <= demands + 1e-9) and np.all(X.sum(axis=0) <= caps + 1e-9)
+            assert X.sum() == pytest.approx(reference, abs=1e-9)
             # The source side is a minimum cut: its capacity is the flow.
             cut = demands[~evs].sum() + upper[evs][:, ~slots].sum() + caps[slots].sum()
             assert cut == pytest.approx(flow, abs=1e-9)
@@ -284,7 +290,7 @@ class TestCapFeasibility:
         mask, b_max, demands = scn.window_mask(), scn.b_max_vector, scn.demand_vector
         caps = scn.load_cap - scn.base_load
         reference = networkx_max_flow(mask, b_max, demands, caps)
-        flow, _, _ = _max_flow(demands, np.where(mask, b_max[:, None], 0.0), caps)
+        flow, _, _, _ = _max_flow(demands, np.where(mask, b_max[:, None], 0.0), caps)
         assert flow == pytest.approx(reference, abs=1e-9)
         assert bool(reference >= demands.sum() - 1e-6) == feasible
         if feasible:
@@ -299,6 +305,13 @@ class TestKktResidual:
         scn = make_scenario([make_ev(demand=4.0)], horizon=2, base_load=[1.0, 1.0], k1=0.5)
         sol = solve_offline(scn, tol=1e-8)
         assert kkt_residual(sol.schedule.amounts, scn) <= 1e-7
+
+    def test_unreachable_cap_refused(self):
+        # The instance of test_infeasible_cap_detected, checked without a solve.
+        evs = [make_ev(i, 1, 2, demand=4.0, b_max=2.0) for i in range(3)]
+        scn = make_scenario(evs, horizon=2, base_load=[4.0, 4.0], load_cap=8.0)
+        with pytest.raises(InfeasibleScenarioError, match=r"EVs 0, 1, 2 need 12\.000 kWh"):
+            kkt_residual(np.full((3, 2), 2.0), scn)
 
     def test_positive_off_optimum(self):
         scn = make_scenario([make_ev(demand=4.0)], horizon=2, base_load=[1.0, 1.0], k1=0.5)
@@ -372,3 +385,56 @@ class TestProjectAllocation:
             target = rng.uniform(0, 20, scn.horizon)
             res = project_allocation(target, scn)
             assert validate_schedule(res.schedule, scn, tol=1e-5).passed
+
+    @pytest.mark.parametrize("seed", [100, 101, 102, 103, 104])
+    def test_achievable_split_is_exact(self, seed):
+        # Regression (fault F1): EC's own slot totals were missed by up to
+        # 0.02 kWh after 2000 rounds of alternating projections.
+        scn = build_scenario(benchmark_spec(), seed)[0]
+        target = ec_schedule(scn).slot_totals()
+        res = project_allocation(target, scn)
+        assert res.distance == 0.0 and res.iterations == 0
+        assert np.max(np.abs(res.schedule.slot_totals() - target)) <= 1e-9
+        assert validate_schedule(res.schedule, scn).passed
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_unachievable_distance_matches_qp(self, capped):
+        rng = np.random.default_rng(31 + capped)
+        for k in range(10):
+            scn = random_feasible_scenario(np.random.default_rng(300 + k), n_max=6, t_max=8)
+            if capped:
+                scn = replace(scn, load_cap=lp_min_peak(scn) + 0.1)
+            target = rng.uniform(0.0, 2.0, scn.horizon) * scn.demand_vector.sum() / scn.horizon
+            res = project_allocation(target, scn)
+            assert res.iterations > 0
+            assert validate_schedule(res.schedule, scn, tol=1e-6).passed
+            assert res.distance == pytest.approx(qp_closest_pair(scn, res.clipped_target), abs=1e-7)
+
+
+def qp_closest_pair(scn, clipped):
+    """min |B - B*|^2 over demand-feasible B and B* with column sums = clipped, by SLSQP."""
+    mask = scn.window_mask()
+    rows, cols = np.nonzero(mask)
+    m = rows.size
+    ones = np.zeros((scn.n_evs, m))
+    ones[rows, np.arange(m)] = 1.0
+    by_slot = np.zeros((scn.horizon, m))
+    by_slot[cols, np.arange(m)] = 1.0
+    zero = np.zeros_like(by_slot)
+    used = mask.any(axis=0)  # an empty slot's equation 0 = 0 would make the system singular
+    a_eq = np.block([[ones, np.zeros_like(ones)], [zero[used], by_slot[used]]])
+    b_eq = np.concatenate([scn.demand_vector, clipped[used]])
+    a_ub = np.hstack([by_slot, zero])
+    room = np.minimum(scn.load_cap - scn.base_load, 1e6)
+    diff = np.hstack([np.eye(m), -np.eye(m)])
+    constraints = [
+        {"type": "eq", "fun": lambda x: a_eq @ x - b_eq, "jac": lambda x: a_eq},
+        {"type": "ineq", "fun": lambda x: room - a_ub @ x, "jac": lambda x: -a_ub},
+    ]
+    start = np.concatenate([project_rows_capped_simplex(np.zeros(mask.shape), scn.b_max_vector,
+                                                        scn.demand_vector, mask)[mask], np.zeros(m)])
+    bounds = [(0.0, scn.b_max_vector[i]) for i in rows] * 2
+    res = minimize(lambda x: np.sum((diff @ x) ** 2), start, jac=lambda x: 2.0 * diff.T @ (diff @ x),
+                   method="SLSQP", bounds=bounds, constraints=constraints,
+                   options={"ftol": 1e-16, "maxiter": 1000})
+    return float(res.fun)
