@@ -11,11 +11,9 @@ from .model import (
     EVProfile,
     PriceModel,
     Scenario,
-    SlotLoad,
     ValidationReport,
     horizon_cost,
     slot_cost,
-    unit_price,
     validate_schedule,
 )
 from .scenario import (
@@ -23,9 +21,7 @@ from .scenario import (
     DwellDistribution,
     FleetConfig,
     SocDistribution,
-    active_set,
     load_base_series,
-    rolling_window,
     sample_fleet,
     synthetic_base_load,
 )

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ChargingSchedule, Scenario, flat_completion_change, slot_cost
+from .model import ChargingSchedule, Scenario, flat_completion_change, laxity_corridor, slot_cost
 from .solvers import solve_rolling_step
 
 _Q_CLAMP = 1e9
@@ -50,13 +50,9 @@ _Q_CLAMP = 1e9
 _NEIGHBOUR_KWH = 0.05
 
 
-def laxity_minimum(residual: float, b_max: float, slots_left: float) -> float:
-    """Smallest charge this slot that keeps the residual deliverable later."""
-    return max(0.0, residual - b_max * max(slots_left - 1, 0))
-
-
 def ec_schedule(scenario: Scenario) -> ChargingSchedule:
     """Eager charging: every parked EV draws min(b_max, residual) each slot."""
+    # Slot-by-slot subtraction, which rounds differently from demand - k * b_max.
     B = np.zeros((scenario.n_evs, scenario.horizon))
     for row, ev in enumerate(scenario.evs):
         residual = ev.demand_kwh
@@ -76,28 +72,26 @@ def oa_schedule(scenario: Scenario, tol: float = 1e-6) -> ChargingSchedule:
     events the previously computed window plan is committed slot by slot.
     """
     B = np.zeros((scenario.n_evs, scenario.horizon))
-    row_of = {ev.id: row for row, ev in enumerate(scenario.evs)}
-    residuals = {ev.id: ev.demand_kwh for ev in scenario.evs}
+    residuals = scenario.demand.copy()
     plan = None
     lb = scenario.base_load
     for t in range(1, scenario.horizon + 1):
-        parked = {ev.id for ev in scenario.evs if ev.parked(t)}
-        active = {i for i in parked if residuals[i] > tol}
-        if not active:
+        active = scenario.mask[:, t - 1] & (residuals > tol)
+        if not active.any():
             plan = None
             continue
-        arrival = any(ev.t_arr == t for ev in scenario.evs)
-        departure = any(ev.t_dep == t - 1 for ev in scenario.evs)
+        arrival = np.any(scenario.t_arr == t)
+        departure = np.any(scenario.t_dep == t - 1)
         base_change = t > 1 and lb[t - 1] != lb[t - 2]
         stale = plan is None or t not in plan.window
         if arrival or departure or base_change or stale:
-            plan = solve_rolling_step(scenario, t, {i: residuals[i] for i in active}, tol=tol)
-        for ev_id, amount in plan.column(t).items():
-            if ev_id not in active:
-                continue
-            committed = min(amount, residuals[ev_id])
-            B[row_of[ev_id], t - 1] = committed
-            residuals[ev_id] -= committed
+            plan_rows = np.flatnonzero(active)
+            plan = solve_rolling_step(scenario, t, {scenario.evs[r].id: residuals[r] for r in plan_rows}, tol=tol)
+        keep = active[plan_rows]
+        rows = plan_rows[keep]
+        committed = np.minimum(plan.amounts[keep, t - plan.window.start], residuals[rows])
+        B[rows, t - 1] = committed
+        residuals[rows] -= committed
     return ChargingSchedule(B)
 
 
@@ -221,16 +215,17 @@ class QLearnConfig:
         return self.epsilon_start + frac * (self.epsilon_end - self.epsilon_start)
 
 
-def _allocate_aggregate(rows, residuals, b_max, t_dep, t: int, budget: float) -> np.ndarray:
+def _allocate_aggregate(rows, residuals, scenario: Scenario, t: int, budget: float) -> np.ndarray:
     """Split an aggregate budget over the parked `rows` in slot t.
 
     Every EV first gets its laxity minimum; what is left of the budget then
     fills EVs up to their headroom, earliest departure first.
     """
     amounts = np.zeros(residuals.size)
-    cap = np.minimum(b_max[rows], residuals[rows])
-    forced = np.minimum(np.maximum(residuals[rows] - b_max[rows] * (t_dep[rows] - t), 0.0), cap)
-    order = np.argsort(t_dep[rows], kind="stable")
+    t_dep = scenario.t_dep[rows]
+    forced, cap = laxity_corridor(residuals[rows], scenario.b_max[rows], t_dep - t)
+    forced = np.minimum(forced, cap)
+    order = np.argsort(t_dep, kind="stable")
     room = (cap - forced)[order]
     extra = np.clip(budget - forced.sum() - (np.cumsum(room) - room), 0.0, room)
     amounts[rows] = forced
@@ -248,26 +243,24 @@ def _aem_rollout(table: QTable, scenario: Scenario, pick_action, transitions: li
     """
     T = scenario.horizon
     B = np.zeros((scenario.n_evs, T))
-    residuals = scenario.demand_vector.copy()
+    residuals = scenario.demand.copy()
     total_demand = max(residuals.sum(), 1e-12)
-    t_arr = np.array([ev.t_arr for ev in scenario.evs], dtype=int)
-    t_dep = np.array([ev.t_dep for ev in scenario.evs], dtype=int)
-    b_max = scenario.b_max_vector
     load_fraction = scenario.base_load / table.load_scale
     for t in range(1, T + 1):
-        parked = (t_arr <= t) & (t <= t_dep) & (residuals > 1e-9)
+        parked = scenario.mask[:, t - 1] & (residuals > 1e-9)
         state = table.state_index(1.0 - residuals.sum() / total_demand, load_fraction[t - 1])
         if not parked.any():
             continue
         action = pick_action(state)
         rows = np.flatnonzero(parked)
-        amounts = _allocate_aggregate(rows, residuals, b_max, t_dep, t, action * table.quantum * rows.size)
+        amounts = _allocate_aggregate(rows, residuals, scenario, t, action * table.quantum * rows.size)
         B[:, t - 1] = amounts
         residuals -= amounts
         if transitions is None:
             continue
         reward = -slot_cost(amounts[amounts > 0], scenario.base_load[t - 1], scenario.price)
-        reward -= flat_completion_change(residuals[rows] + amounts[rows], residuals[rows], t_dep[rows], t, scenario)
+        reward -= flat_completion_change(residuals[rows] + amounts[rows], residuals[rows], scenario.t_dep[rows], t,
+                                         scenario)
         next_state = table.state_index(1.0 - residuals.sum() / total_demand, load_fraction[min(t, T - 1)])
         transitions.append((state, action, reward, next_state, t == T))
     return ChargingSchedule(B)
@@ -298,7 +291,7 @@ def aem_train(scenario_sampler, cfg: QLearnConfig, levels: int, soc_bins: int = 
     """
     rng = np.random.default_rng(cfg.seed)
     probe = scenario_sampler(0)
-    b_max = probe.b_max_vector.max() if probe.n_evs else 1.0
+    b_max = probe.b_max.max() if probe.n_evs else 1.0
     table = QTable(
         soc_bins=soc_bins,
         load_bins=load_bins,

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    SWEEPABLE,
     ConfigError,
     emit_report,
     emit_sweep_report,
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="sweep one parameter over a value list")
     sw.add_argument("--config", required=True)
-    sw.add_argument("--param", required=True, choices=("discount", "beta_a", "n_evs", "aem_levels"))
+    sw.add_argument("--param", required=True, choices=SWEEPABLE)
     sw.add_argument("--values", required=True, help="comma-separated values")
     sw.set_defaults(func=_cmd_sweep)
 

@@ -38,7 +38,6 @@ from .scenario import (
 )
 
 ALGORITHMS = ("EC", "OA", "AEM", "SCA", "CALC")
-SWEEPABLE = ("discount", "beta_a", "n_evs", "aem_levels")
 METRICS_HEADER = "algorithm,seed,total_cost,peak_load_kwh,wall_time_ms,demand_violation_max,truncation_count"
 
 
@@ -184,26 +183,38 @@ def example_config() -> str:
     )
 
 
-def _train_cfg(section, defaults: TrainConfig) -> TrainConfig:
-    if section is None:
+def _whole(text: str) -> int:
+    return int(float(text))
+
+
+# (key, field, cast) of each key that the [sca]/[calc] and [aem] sections may set.
+_TRAIN_KEYS = (
+    ("beta_a", "beta_a", float),
+    ("beta_c", "beta_c", float),
+    ("discount", "discount", float),
+    ("k_max", "k_max", _whole),
+    ("n_workers", "n_workers", _whole),
+    ("update_period", "update_period", _whole),
+    ("seed", "seed", _whole),
+    ("reward", "reward_mode", str),
+    ("critic_warmup", "critic_warmup", _whole),
+    ("advantage", "advantage", str),
+    ("grad_clip", "grad_clip", float),
+)
+_AEM_KEYS = (
+    ("levels", "levels", int),
+    ("episodes", "episodes", int),
+    ("learning_rate", "learning_rate", float),
+    ("discount", "discount", float),
+)
+
+
+def _section(parser, name: str, defaults, keys):
+    """`defaults` with every key that section `name` sets, cast to its field."""
+    if name not in parser:
         return defaults
-    kwargs = {}
-    for key, attr, cast in [
-        ("beta_a", "beta_a", float),
-        ("beta_c", "beta_c", float),
-        ("discount", "discount", float),
-        ("k_max", "k_max", int),
-        ("n_workers", "n_workers", int),
-        ("update_period", "update_period", int),
-        ("seed", "seed", int),
-        ("reward", "reward_mode", str),
-        ("critic_warmup", "critic_warmup", int),
-        ("advantage", "advantage", str),
-        ("grad_clip", "grad_clip", float),
-    ]:
-        if key in section:
-            kwargs[attr] = cast(section[key]) if cast is not int else int(float(section[key]))
-    return replace(defaults, **kwargs)
+    section = parser[name]
+    return replace(defaults, **{attr: cast(section[key]) for key, attr, cast in keys if key in section})
 
 
 def load_config(path) -> ExperimentConfig:
@@ -242,14 +253,9 @@ def load_config(path) -> ExperimentConfig:
             algorithms=algorithms,
             seeds=seeds,
             output_dir=run.get("output_dir", "results"),
-            sca=_train_cfg(parser["sca"] if "sca" in parser else None, TrainConfig()),
-            calc=_train_cfg(parser["calc"] if "calc" in parser else None, TrainConfig()),
-            aem=AemSettings(
-                levels=int(parser["aem"].get("levels", 33)) if "aem" in parser else 33,
-                episodes=int(parser["aem"].get("episodes", 300)) if "aem" in parser else 300,
-                learning_rate=float(parser["aem"].get("learning_rate", 0.1)) if "aem" in parser else 0.1,
-                discount=float(parser["aem"].get("discount", 0.5)) if "aem" in parser else 0.5,
-            ),
+            sca=_section(parser, "sca", TrainConfig(), _TRAIN_KEYS),
+            calc=_section(parser, "calc", TrainConfig(), _TRAIN_KEYS),
+            aem=_section(parser, "aem", AemSettings(), _AEM_KEYS),
             share_training=run.get("share_training", "true").strip().lower() in ("1", "true", "yes"),
         )
     except (KeyError, ValueError) as exc:
@@ -443,7 +449,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 report = validate_schedule(schedule, scenario)
                 if algorithm == "AEM" and scenario.n_evs:
                     # quantized amounts may miss demand by up to one action quantum
-                    quantum_tol = max(ev.b_max for ev in scenario.evs) / (trainer.cfg.aem.levels - 1)
+                    quantum_tol = scenario.b_max.max() / (trainer.cfg.aem.levels - 1)
                 else:
                     quantum_tol = 1e-6
                 gap = report.max_demand_gap()
@@ -471,30 +477,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(metrics=metrics, failures=failures, curves=curves)
 
 
+def _both_trainers(attr: str):
+    return lambda cfg, value: replace(cfg, sca=replace(cfg.sca, **{attr: float(value)}),
+                                      calc=replace(cfg.calc, **{attr: float(value)}))
+
+
+# Sweep parameter -> the config with that parameter set to one value.
+_SWEEPS = {
+    "discount": _both_trainers("discount"),
+    "beta_a": _both_trainers("beta_a"),
+    "n_evs": lambda cfg, value: replace(cfg, scenario=replace(cfg.scenario, n_evs=int(value))),
+    "aem_levels": lambda cfg, value: replace(cfg, aem=replace(cfg.aem, levels=int(value))),
+}
+SWEEPABLE = tuple(_SWEEPS)
+
+
 def sweep(cfg: ExperimentConfig, parameter: str, values) -> list[tuple[object, ExperimentResult]]:
     """Run one experiment group per parameter value."""
     if parameter not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter {parameter!r}, expected one of {SWEEPABLE}")
-    groups = []
-    for value in values:
-        if parameter == "discount":
-            mod = replace(
-                cfg,
-                sca=replace(cfg.sca, discount=float(value)),
-                calc=replace(cfg.calc, discount=float(value)),
-            )
-        elif parameter == "beta_a":
-            mod = replace(
-                cfg,
-                sca=replace(cfg.sca, beta_a=float(value)),
-                calc=replace(cfg.calc, beta_a=float(value)),
-            )
-        elif parameter == "n_evs":
-            mod = replace(cfg, scenario=replace(cfg.scenario, n_evs=int(value)))
-        else:  # aem_levels
-            mod = replace(cfg, aem=replace(cfg.aem, levels=int(value)))
-        groups.append((value, run_experiment(mod)))
-    return groups
+    return [(value, run_experiment(_SWEEPS[parameter](cfg, value))) for value in values]
 
 
 def emit_report(result: ExperimentResult, output_dir) -> list[Path]:

@@ -1,5 +1,9 @@
 """Physical and economic core: price model, EV profiles, scenarios, schedules.
 
+A scenario lays its fleet out once as read-only arrays, one entry per EV
+in `evs` order, and this module holds the two kernels the algorithms share:
+the slot bill and the laxity corridor of one slot.
+
 All charging amounts are stored as kWh per slot. With the default slot
 duration of 1 hour, kW and kWh-per-slot are numerically identical, which
 keeps every other module free of unit conversions.
@@ -66,17 +70,15 @@ class EVProfile:
                 f"EV {self.id}: demand {self.demand_kwh} exceeds battery headroom {headroom}"
             )
 
-    @property
-    def n_slots(self) -> int:
-        return self.t_dep - self.t_arr + 1
-
-    def parked(self, t: int) -> bool:
-        return self.t_arr <= t <= self.t_dep
-
 
 @dataclass(frozen=True)
 class Scenario:
-    """A charging-station instance: horizon, base load, fleet, price, cap."""
+    """A charging-station instance: horizon, base load, fleet, price, cap.
+
+    The fleet arrays (`t_arr`, `t_dep`, `demand`, `b_max`, `capacity`,
+    `soc_init`, and the (n_evs, horizon) window `mask`, True where the EV is
+    parked) are built once here and are read-only.
+    """
 
     horizon: int
     base_load: np.ndarray  # kWh per slot, length horizon
@@ -97,28 +99,28 @@ class Scenario:
             raise ModelError("base_load entries must be non-negative")
         if base.size and self.load_cap < base.max():
             raise ModelError(f"load_cap {self.load_cap} below peak base load {base.max()}")
+        ids = set()
         for ev in self.evs:
             if ev.t_arr < 1 or ev.t_dep > self.horizon:
                 raise ModelError(f"EV {ev.id}: window [{ev.t_arr}, {ev.t_dep}] outside [1, {self.horizon}]")
+            if ev.id in ids:
+                raise ModelError(f"duplicate EV id {ev.id}")
+            ids.add(ev.id)
+
+        def column(attr, dtype=float):
+            return np.array([getattr(ev, attr) for ev in self.evs], dtype=dtype)
+
+        fleet = {"t_arr": column("t_arr", int), "t_dep": column("t_dep", int), "demand": column("demand_kwh"),
+                 "b_max": column("b_max"), "capacity": column("capacity_kwh"), "soc_init": column("soc_init")}
+        slots = np.arange(1, self.horizon + 1)
+        fleet["mask"] = (fleet["t_arr"][:, None] <= slots) & (slots <= fleet["t_dep"][:, None])
+        for name, array in fleet.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def n_evs(self) -> int:
         return len(self.evs)
-
-    @property
-    def b_max_vector(self) -> np.ndarray:
-        return np.array([ev.b_max for ev in self.evs])
-
-    @property
-    def demand_vector(self) -> np.ndarray:
-        return np.array([ev.demand_kwh for ev in self.evs])
-
-    def window_mask(self) -> np.ndarray:
-        """Boolean (n_evs, horizon) matrix, True where the EV is parked."""
-        mask = np.zeros((self.n_evs, self.horizon), dtype=bool)
-        for row, ev in enumerate(self.evs):
-            mask[row, ev.t_arr - 1 : ev.t_dep] = True
-        return mask
 
 
 class ChargingSchedule:
@@ -128,10 +130,6 @@ class ChargingSchedule:
         self.amounts = np.asarray(amounts, dtype=float)
         if self.amounts.ndim != 2:
             raise ModelError(f"amounts must be 2-D, got shape {self.amounts.shape}")
-
-    @classmethod
-    def zeros(cls, scenario: Scenario) -> "ChargingSchedule":
-        return cls(np.zeros((scenario.n_evs, scenario.horizon)))
 
     @property
     def n_evs(self) -> int:
@@ -144,42 +142,35 @@ class ChargingSchedule:
     def slot_totals(self) -> np.ndarray:
         return self.amounts.sum(axis=0)
 
-    def ev_totals(self) -> np.ndarray:
-        return self.amounts.sum(axis=1)
-
     def __repr__(self) -> str:
         return f"ChargingSchedule(n_evs={self.n_evs}, horizon={self.horizon})"
 
 
-@dataclass(frozen=True)
-class SlotLoad:
-    """Load decomposition of one slot."""
+def bill(S, l_b, pm: PriceModel) -> float:
+    """Bill of charging S on top of base load l_b: the integral of the unit
+    price k0 + 2*k1*load from l_b to l_b + S, i.e. k0*S + k1*S^2 + 2*k1*l_b*S.
 
-    l_ev: float
-    l_b: float
-
-    @property
-    def total(self) -> float:
-        return self.l_ev + self.l_b
+    S and l_b may be per-slot arrays; the bill is then summed over slots.
+    """
+    return float(np.sum(pm.k0 * S + pm.k1 * S * S + 2.0 * pm.k1 * l_b * S))
 
 
-def unit_price(l_ev: float, l_b: float, pm: PriceModel) -> float:
-    """Unit electricity price at total load l_ev + l_b."""
-    if l_ev < 0 or l_b < 0:
-        raise ModelError(f"loads must be non-negative, got l_ev={l_ev}, l_b={l_b}")
-    return pm.k0 + 2.0 * pm.k1 * (l_ev + l_b)
+def laxity_corridor(residuals, b_max, slots_after):
+    """Unclipped charging corridor of each EV in one slot: (laxity minimum, headroom).
+
+    The laxity minimum max(r - b_max * slots_after, 0) is the charge needed
+    now so that the rest still fits in the `slots_after` slots before
+    departure; the headroom min(b_max, r) is the most the EV can take.
+    """
+    return np.maximum(residuals - b_max * slots_after, 0.0), np.minimum(b_max, residuals)
 
 
 def slot_cost(b_vec, l_b: float, pm: PriceModel) -> float:
-    """Electricity bill of one slot: the price integral from l_b to l_b + sum(b).
-
-    Closed form: k0*S + k1*S^2 + 2*k1*l_b*S with S = sum(b_vec).
-    """
+    """Electricity bill of one slot in which the EVs charge b_vec (`bill` of their sum)."""
     b = np.asarray(b_vec, dtype=float)
     if np.any(b < 0):
         raise ModelError("charging amounts must be non-negative")
-    s = float(b.sum())
-    return pm.k0 * s + pm.k1 * s * s + 2.0 * pm.k1 * l_b * s
+    return bill(float(b.sum()), l_b, pm)
 
 
 def horizon_cost(schedule: ChargingSchedule, scenario: Scenario) -> float:
@@ -189,10 +180,7 @@ def horizon_cost(schedule: ChargingSchedule, scenario: Scenario) -> float:
             f"schedule shape {schedule.amounts.shape} does not match scenario "
             f"({scenario.n_evs}, {scenario.horizon})"
         )
-    s = schedule.slot_totals()
-    lb = scenario.base_load
-    pm = scenario.price
-    return float(np.sum(pm.k0 * s + pm.k1 * s * s + 2.0 * pm.k1 * lb * s))
+    return bill(schedule.slot_totals(), scenario.base_load, scenario.price)
 
 
 def _flat_bill(residuals: np.ndarray, slots_left: np.ndarray, first: int, t: int, scenario: Scenario) -> float:
@@ -250,30 +238,29 @@ class ValidationReport:
 def validate_schedule(schedule: ChargingSchedule, scenario: Scenario, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check demand satisfaction, per-slot bounds, window containment, load cap.
 
-    Violations are data, not errors; infeasible schedules yield a failed report.
+    Violations are data, not errors; infeasible schedules yield a failed
+    report. A non-finite amount is a violation. Each EV's demand gap comes
+    first, then its cells slot by slot; the load cap's come last.
     """
     if schedule.n_evs != scenario.n_evs or schedule.horizon != scenario.horizon:
         raise ModelError("schedule dimensions do not match scenario")
     violations: list[Violation] = []
     b = schedule.amounts
-    for row, ev in enumerate(scenario.evs):
-        gap = abs(b[row].sum() - ev.demand_kwh)
-        if gap > tol:
-            violations.append(Violation("demand", ev.id, None, gap))
-        for col in range(scenario.horizon):
-            t = col + 1
-            amount = b[row, col]
-            if not ev.parked(t):
-                if abs(amount) > tol:
-                    violations.append(Violation("window", ev.id, t, abs(amount)))
-                continue
-            if amount < -tol:
-                violations.append(Violation("bound", ev.id, t, -amount))
-            elif amount > ev.b_max + tol:
-                violations.append(Violation("bound", ev.id, t, amount - ev.b_max))
-    totals = schedule.slot_totals() + scenario.base_load
-    for col in range(scenario.horizon):
-        excess = totals[col] - scenario.load_cap
-        if excess > tol:
-            violations.append(Violation("load_cap", None, col + 1, excess))
+    b_max = scenario.b_max[:, None]
+    gaps = np.abs(b.sum(axis=1) - scenario.demand)
+    # Negated comparisons, so that NaN amounts are flagged too.
+    window = ~scenario.mask & ~(np.abs(b) <= tol)
+    low = scenario.mask & (b < -tol)
+    bound = low | (scenario.mask & ~(b <= b_max + tol))
+    magnitude = np.where(window, np.abs(b), np.where(low, -b, b - b_max))
+    for row in np.flatnonzero(~(gaps <= tol) | (window | bound).any(axis=1)):
+        ev_id = scenario.evs[row].id
+        if not gaps[row] <= tol:
+            violations.append(Violation("demand", ev_id, None, gaps[row]))
+        for col in np.flatnonzero(window[row] | bound[row]):
+            kind = "window" if window[row, col] else "bound"
+            violations.append(Violation(kind, ev_id, int(col) + 1, magnitude[row, col]))
+    excess = schedule.slot_totals() + scenario.base_load - scenario.load_cap
+    for col in np.flatnonzero(excess > tol):
+        violations.append(Violation("load_cap", None, int(col) + 1, excess[col]))
     return ValidationReport(passed=not violations, violations=tuple(violations))

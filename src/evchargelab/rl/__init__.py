@@ -12,7 +12,6 @@ from .nets import (
     log_policy_gradient,
     policy_draw,
     policy_forward,
-    policy_sample,
 )
 from .serialize import load_critic, load_policy, save_critic, save_policy
 from .train import (
@@ -20,17 +19,13 @@ from .train import (
     ADVANTAGE_RETURN,
     ADVANTAGE_TD,
     ADVANTAGE_TRACE,
-    ConstantRate,
     ParameterStore,
-    PolynomialRate,
     TrainConfig,
     TrainResult,
     TrainingDiverged,
     accumulate_return,
-    actor_update,
     calc_aggregate_series,
     calc_schedule,
-    check_robbins_monro,
     critic_update,
     replay_training,
     sca_schedule,

@@ -18,10 +18,10 @@ min(b_max, residual demand) and the lower end is the laxity minimum (the
 charge needed now so the rest still fits before departure). The clamp
 makes every rollout demand-feasible regardless of policy quality.
 
-Reward modes: the exact slot bill; a per-EV quadratic form; and, for the
-aggregate env, flat-regret: the exact bill plus the change it makes to the
-bill of finishing the parked EVs at their flat rates, which is 0 for a step
-that charges the flat rates on a flat base load.
+Reward modes: the exact slot bill; and, for the aggregate env,
+flat-regret: the exact bill plus the change it makes to the bill of
+finishing the parked EVs at their flat rates, which is 0 for a step that
+charges the flat rates on a flat base load.
 """
 
 from __future__ import annotations
@@ -30,15 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..baselines import _allocate_aggregate, laxity_minimum
-from ..model import Scenario, flat_completion_change, slot_cost
+from ..baselines import _allocate_aggregate
+from ..model import Scenario, flat_completion_change, laxity_corridor, slot_cost
 
 REWARD_EXACT = "exact-cost"
-REWARD_PER_EV = "per-ev-quadratic"  # per-EV quadratic form, no cross-EV terms
 # Minus the extra bill a step causes over finishing the parked EVs at their
 # flat rates: the exact cost plus the change in their flat-completion bill.
 REWARD_REGRET = "flat-regret"
-REWARD_MODES = (REWARD_EXACT, REWARD_PER_EV, REWARD_REGRET)
+REWARD_MODES = (REWARD_EXACT, REWARD_REGRET)
 
 
 @dataclass(frozen=True)
@@ -72,33 +71,24 @@ class EnvTransition:
     terminal: bool
 
 
-def _reward(amounts: np.ndarray, l_b: float, scenario: Scenario, mode: str) -> float:
-    pm = scenario.price
-    if mode in (REWARD_EXACT, REWARD_REGRET):
-        return -slot_cost(amounts, l_b, pm)
-    if mode == REWARD_PER_EV:
-        return float(-np.sum((pm.k0 + 2.0 * pm.k1 * amounts + 2.0 * pm.k1 * l_b) * amounts))
-    raise ValueError(f"unknown reward mode {mode!r}")
-
-
 class ChargingEnv:
     """Per-EV continuous-action environment over one scenario episode."""
 
     def __init__(self, scenario: Scenario, reward_mode: str = REWARD_EXACT):
-        if reward_mode not in (REWARD_EXACT, REWARD_PER_EV):
+        if reward_mode != REWARD_EXACT:
             raise ValueError(f"reward mode {reward_mode!r} not available for the per-EV env")
         self.scenario = scenario
         self.reward_mode = reward_mode
-        self.price_scale = scenario.price.k0 + 2.0 * scenario.price.k1 * (
+        self.price_scale = max(scenario.price.k0 + 2.0 * scenario.price.k1 * (
             scenario.load_cap if np.isfinite(scenario.load_cap) else 2.0 * scenario.base_load.max()
-        )
+        ), 1e-9)
         self.state_dim = scenario.n_evs + 1
         self.action_dim = scenario.n_evs
         self.reset()
 
     def reset(self) -> RlState:
         self.t = 1
-        self.residuals = self.scenario.demand_vector.copy()
+        self.residuals = self.scenario.demand.copy()
         self.charged = np.zeros(self.scenario.n_evs)
         self._last_ev_load = 0.0
         self.done = self.t > self.scenario.horizon
@@ -112,26 +102,16 @@ class ChargingEnv:
         return (self.scenario.price.k0 + 2.0 * self.scenario.price.k1 * (lb + self._last_ev_load)) / self.price_scale
 
     def _observe(self) -> RlState:
-        t = min(self.t, self.scenario.horizon)
-        soc = np.array(
-            [
-                min(ev.soc_init + self.charged[row] / ev.capacity_kwh, 1.0) if ev.parked(t) else 0.0
-                for row, ev in enumerate(self.scenario.evs)
-            ]
-        )
-        return RlState(soc=soc, price=self._price())
+        sc = self.scenario
+        soc = np.minimum(sc.soc_init + self.charged / sc.capacity, 1.0)
+        return RlState(soc=np.where(sc.mask[:, min(self.t, sc.horizon) - 1], soc, 0.0), price=self._price())
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Feasibility corridor [lo, hi] for each EV in the current slot."""
-        lo = np.zeros(self.scenario.n_evs)
-        hi = np.zeros(self.scenario.n_evs)
-        for row, ev in enumerate(self.scenario.evs):
-            if not ev.parked(self.t) or self.residuals[row] <= 0:
-                continue
-            slots_left = ev.t_dep - self.t + 1
-            hi[row] = min(ev.b_max, self.residuals[row])
-            lo[row] = min(laxity_minimum(self.residuals[row], ev.b_max, slots_left), hi[row])
-        return lo, hi
+        sc = self.scenario
+        lo, hi = laxity_corridor(self.residuals, sc.b_max, sc.t_dep - self.t)
+        live = (sc.t_arr <= self.t) & (self.t <= sc.t_dep) & (self.residuals > 0)
+        return np.where(live, np.minimum(lo, hi), 0.0), np.where(live, hi, 0.0)
 
     def step(self, action: np.ndarray) -> EnvTransition:
         if self.done:
@@ -139,7 +119,7 @@ class ChargingEnv:
         lo, hi = self.bounds()
         amounts = np.clip(np.asarray(action, dtype=float), lo, hi)
         lb = self.scenario.base_load[self.t - 1]
-        reward = _reward(amounts, lb, self.scenario, self.reward_mode)
+        reward = -slot_cost(amounts, lb, self.scenario.price)
         self.residuals -= amounts
         self.charged += amounts
         self._last_ev_load = float(amounts.sum())
@@ -167,29 +147,27 @@ class AggregateEnv:
         self.lb_scale = max(scenario.base_load.max(), 1e-9)
         # Actions are expressed in units of the mean fleet energy per slot so
         # the policy operates on O(1) values regardless of fleet size.
-        self.action_scale = max(float(scenario.demand_vector.sum()) / max(scenario.horizon, 1), 1e-9)
-        self._t_arr = np.array([ev.t_arr for ev in scenario.evs], dtype=int)
-        self._t_dep = np.array([ev.t_dep for ev in scenario.evs], dtype=int)
-        self._b_max = scenario.b_max_vector
+        self.action_scale = max(float(scenario.demand.sum()) / max(scenario.horizon, 1), 1e-9)
         self.reset()
 
     def reset(self) -> ReducedState:
         self.t = 1
-        self.residuals = self.scenario.demand_vector.copy()
+        self.residuals = self.scenario.demand.copy()
         self.done = self.t > self.scenario.horizon
         self.state = self._observe()
         return self.state
 
     def _observe(self) -> ReducedState:
         """Reduced state of slot t; also caches the slot's parked rows and corridor (kWh)."""
-        t = min(self.t, self.scenario.horizon)
-        rows = np.flatnonzero((self._t_arr <= t) & (t <= self._t_dep) & (self.residuals > 1e-9))
+        sc = self.scenario
+        t = min(self.t, sc.horizon)
+        rows = np.flatnonzero(sc.mask[:, t - 1] & (self.residuals > 1e-9))
         residuals = self.residuals[rows]
-        b_max = self._b_max[rows]
-        slots_left = self._t_dep[rows] - t + 1
+        slots_left = sc.t_dep[rows] - t + 1
+        lo, hi = laxity_corridor(residuals, sc.b_max[rows], slots_left - 1)
         self._rows = rows
-        self._hi = float(np.minimum(b_max, residuals).sum())
-        self._lo = min(float(np.maximum(residuals - b_max * (slots_left - 1), 0.0).sum()), self._hi)
+        self._hi = float(hi.sum())
+        self._lo = min(float(lo.sum()), self._hi)
         return ReducedState(
             soc_ev=float((residuals / slots_left).sum()) / self.action_scale,
             l_b=self.scenario.base_load[t - 1] / self.lb_scale,
@@ -204,13 +182,14 @@ class AggregateEnv:
             raise RuntimeError("episode finished; call reset()")
         budget = min(max(self.action_scale * float(np.asarray(action, dtype=float).reshape(())), self._lo), self._hi)
         rows = self._rows
-        amounts = _allocate_aggregate(rows, self.residuals, self._b_max, self._t_dep, self.t, budget)
+        amounts = _allocate_aggregate(rows, self.residuals, self.scenario, self.t, budget)
         lb = self.scenario.base_load[self.t - 1]
-        reward = _reward(amounts, lb, self.scenario, self.reward_mode)
+        reward = -slot_cost(amounts, lb, self.scenario.price)
         self.residuals -= amounts
         if self.reward_mode == REWARD_REGRET:
             reward -= flat_completion_change(
-                self.residuals[rows] + amounts[rows], self.residuals[rows], self._t_dep[rows], self.t, self.scenario
+                self.residuals[rows] + amounts[rows], self.residuals[rows], self.scenario.t_dep[rows], self.t,
+                self.scenario,
             )
         prev_state = self.state
         committed = float(amounts.sum())

@@ -102,11 +102,6 @@ def policy_draw(params: PolicyParams, state: np.ndarray, rng: np.random.Generato
     return mu + np.exp(log_sigma) * rng.standard_normal(mu.shape)
 
 
-def policy_sample(params: PolicyParams, state: np.ndarray, rng: np.random.Generator, lo, hi) -> np.ndarray:
-    """Draw an action from the Gaussian policy, clipped into [lo, hi]."""
-    return np.clip(policy_draw(params, state, rng), lo, hi)
-
-
 def log_policy_density(params: PolicyParams, state: np.ndarray, action: np.ndarray) -> float:
     _, mu, log_sigma = policy_forward(params, state)
     sigma2 = np.exp(2.0 * log_sigma)

@@ -14,7 +14,8 @@ from __future__ import annotations
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -76,7 +77,6 @@ class TrainConfig:
     grad_clip: float = 10.0  # max L2 norm of any per-step gradient contribution
     critic_warmup: int = 0  # global steps during which only the critic is updated
     advantage: str = ADVANTAGE_RETURN  # weighting of the pushed policy gradient
-    compatible_critic: bool = False  # Q = theta_v . grad log pi instead of the MLP critic
     policy_hidden: int = 200
     critic_hidden: int = 100
 
@@ -93,39 +93,6 @@ class TrainConfig:
             raise ValueError(f"unknown reward mode {self.reward_mode!r}")
         if self.advantage not in ADVANTAGE_MODES:
             raise ValueError(f"unknown advantage mode {self.advantage!r}")
-
-
-@dataclass(frozen=True)
-class ConstantRate:
-    """Fixed step size; fails the Robbins-Monro summability conditions."""
-
-    c: float
-
-    def __call__(self, t: int) -> float:
-        return self.c
-
-    def satisfies_robbins_monro(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
-class PolynomialRate:
-    """Step size c / t**power for t >= 1."""
-
-    c: float
-    power: float = 1.0
-
-    def __call__(self, t: int) -> float:
-        return self.c / t**self.power
-
-    def satisfies_robbins_monro(self) -> bool:
-        # sum diverges iff power <= 1; sum of squares converges iff power > 1/2
-        return 0.5 < self.power <= 1.0
-
-
-def check_robbins_monro(schedule) -> bool:
-    """True when the schedule certifies sum(beta) = inf and sum(beta^2) < inf."""
-    return bool(schedule.satisfies_robbins_monro())
 
 
 def td_error(r_next: float, q_next: float, q_cur: float, discount: float) -> float:
@@ -145,19 +112,6 @@ def critic_update(params: CriticParams, delta: float, grad_q: CriticParams, beta
         return params
     params.add_scaled(grad_q, beta_c * delta)
     return params
-
-
-def actor_update(params: PolicyParams, delta: float, score: PolicyParams, beta_a: float) -> PolicyParams:
-    """In-place step params += beta_a * delta * grad log pi; skipped if non-finite."""
-    if not np.isfinite(delta):
-        warnings.warn("non-finite TD error; actor step skipped")
-        return params
-    params.add_scaled(score, beta_a * delta)
-    return params
-
-
-def _flatten_policy(grads: PolicyParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in grads.arrays()])
 
 
 def _clipped(x: float, bound: float) -> float:
@@ -238,26 +192,7 @@ class TrainResult:
         lines = ["episode,steps,moving_reward,wall_ms"]
         for e in self.episodes:
             lines.append(f"{e.episode},{e.steps},{e.moving_reward!r},{e.wall_ms!r}")
-        from pathlib import Path
-
         Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _q_value(critic: CriticParams, policy: PolicyParams, state_vec, action, compatible: bool) -> float:
-    """Q(s, a) alone; same value as _q_and_grad's."""
-    if compatible:
-        return _q_and_grad(critic, policy, state_vec, action, compatible)[0]
-    return critic_value(critic, state_vec, action)
-
-
-def _q_and_grad(critic: CriticParams, policy: PolicyParams, state_vec, action, compatible: bool):
-    if not compatible:
-        return critic_gradient(critic, state_vec, action)
-    feats = _flatten_policy(log_policy_gradient(policy, state_vec, action))
-    q = float(critic.w_value @ feats[: critic.w_value.size])
-    grads = critic.zeros_like()
-    grads.w_value = feats[: critic.w_value.size]
-    return q, grads
 
 
 def _worker(worker_id: int, cfg: TrainConfig, env_factory):
@@ -298,8 +233,8 @@ def _worker(worker_id: int, cfg: TrainConfig, env_factory):
                 lo, hi = env.bounds()
                 next_draw = policy_draw(policy, next_vec, rng)
                 next_action = np.clip(next_draw, lo, hi)
-                q_next = _q_value(critic, policy, next_vec, next_action, cfg.compatible_critic)
-            q_cur, grad_q = _q_and_grad(critic, policy, state_vec, action, cfg.compatible_critic)
+                q_next = critic_value(critic, next_vec, next_action)
+            q_cur, grad_q = critic_gradient(critic, state_vec, action)
             delta = td_error(transition.reward, q_next, q_cur, cfg.discount)
             score = _clip_norm(log_policy_gradient(policy, state_vec, draw), cfg.grad_clip)
             _clip_norm(grad_q, cfg.grad_clip)

@@ -1,13 +1,13 @@
-"""Stochastic fleet generation, base-load ingestion, active sets and windows."""
+"""Stochastic fleet generation and base-load ingestion."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .model import EVProfile, Scenario
+from .model import EVProfile
 
 # Named EV types: (b_max kWh/slot, capacity kWh).
 EV_TYPES = {
@@ -155,16 +155,6 @@ class FleetConfig:
 
 
 @dataclass(frozen=True)
-class ExogenousEvent:
-    """The information triple revealed when an EV arrives."""
-
-    ev_id: int
-    t_arr: int
-    t_dep: int
-    demand_kwh: float
-
-
-@dataclass(frozen=True)
 class FleetSample:
     evs: tuple[EVProfile, ...]
     truncation_count: int  # demands cut down to what the dwell can deliver
@@ -233,24 +223,3 @@ def synthetic_base_load(horizon: int, low: float = 20.0, high: float = 45.0, pea
     amp = 0.5 * (high - low)
     return mid + amp * np.cos(phase)
 
-
-def active_set(evs, t: int) -> set[int]:
-    """IDs of EVs parked in slot t."""
-    return {ev.id for ev in _ev_iter(evs) if ev.t_arr <= t <= ev.t_dep}
-
-
-def rolling_window(evs, t: int) -> range:
-    """Slots from t to the latest departure among EVs parked at t.
-
-    Empty range when nothing is parked.
-    """
-    deps = [ev.t_dep for ev in _ev_iter(evs) if ev.t_arr <= t <= ev.t_dep]
-    if not deps:
-        return range(t, t)
-    return range(t, max(deps) + 1)
-
-
-def _ev_iter(evs):
-    if isinstance(evs, Scenario):
-        return evs.evs
-    return evs

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChargingSchedule, EVProfile, Scenario
+from .model import ChargingSchedule, EVProfile, Scenario, bill
 from .projections import _row_shifts, project_cols_capped_simplex, project_rows_capped_simplex
 
 DEFAULT_TOL = 1e-6
@@ -51,11 +51,7 @@ class RollingStepResult:
 
     ev_ids: tuple[int, ...]
     window: range
-    amounts: np.ndarray  # (n_active, len(window))
-
-    def column(self, t: int) -> dict[int, float]:
-        col = t - self.window.start
-        return {ev_id: float(self.amounts[row, col]) for row, ev_id in enumerate(self.ev_ids)}
+    amounts: np.ndarray  # (n_active, len(window)), rows in `ev_ids` order
 
 
 @dataclass(frozen=True)
@@ -69,12 +65,14 @@ class ProjectionResult:
 
 
 def _check_per_ev_feasibility(scenario: Scenario, tol: float):
-    for ev in scenario.evs:
-        deliverable = ev.b_max * ev.n_slots
-        if ev.demand_kwh > deliverable + tol:
-            raise InfeasibleScenarioError(
-                f"EV {ev.id}: demand {ev.demand_kwh} exceeds deliverable {deliverable}"
-            )
+    """Raise InfeasibleScenarioError for the first EV whose demand its window cannot deliver."""
+    deliverable = scenario.b_max * (scenario.t_dep - scenario.t_arr + 1)
+    over = np.flatnonzero(scenario.demand > deliverable + tol)
+    if over.size:
+        ev = scenario.evs[over[0]]
+        raise InfeasibleScenarioError(
+            f"EV {ev.id}: demand {ev.demand_kwh} exceeds deliverable {float(deliverable[over[0]])}"
+        )
 
 
 def _max_flow(supply, upper, room):
@@ -244,10 +242,6 @@ def _feasible_projector(mask, b_max, demands, caps, tol: float):
     return project
 
 
-def _objective(S, lb, pm):
-    return float(np.sum(pm.k0 * S + pm.k1 * S * S + 2.0 * pm.k1 * lb * S))
-
-
 def solve_offline(scenario: Scenario, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> QpSolution:
     """Minimize total charging cost with full knowledge of the fleet.
 
@@ -260,9 +254,7 @@ def solve_offline(scenario: Scenario, tol: float = DEFAULT_TOL, max_iter: int = 
     lb = scenario.base_load
     if n == 0:
         return QpSolution(ChargingSchedule(np.zeros((0, T))), 0.0, 0, 0.0)
-    mask = scenario.window_mask()
-    b_max = scenario.b_max_vector
-    demands = scenario.demand_vector
+    mask, b_max, demands = scenario.mask, scenario.b_max, scenario.demand
     caps = np.full(T, scenario.load_cap) - lb
     if np.isfinite(scenario.load_cap):
         _check_cap_feasibility(scenario, mask, b_max, demands, caps, tol)
@@ -272,7 +264,7 @@ def solve_offline(scenario: Scenario, tol: float = DEFAULT_TOL, max_iter: int = 
         # Linear objective with fixed per-EV totals: every feasible point is
         # optimal; return the minimum-norm one for determinism.
         B = project(np.zeros((n, T)))
-        return QpSolution(ChargingSchedule(B), _objective(B.sum(axis=0), lb, pm), 0, 0.0)
+        return QpSolution(ChargingSchedule(B), bill(B.sum(axis=0), lb, pm), 0, 0.0)
 
     L = 2.0 * pm.k1 * n
     eta = 1.0 / L
@@ -287,7 +279,7 @@ def solve_offline(scenario: Scenario, tol: float = DEFAULT_TOL, max_iter: int = 
         grad_slot = pm.k0 + 2.0 * pm.k1 * (S + lb)
         G = np.where(mask, grad_slot[None, :], 0.0)
         B_new = project(Y - eta * G)
-        f_new = _objective(B_new.sum(axis=0), lb, pm)
+        f_new = bill(B_new.sum(axis=0), lb, pm)
         if f_new > f_prev:  # restart momentum on objective increase
             t_mom = 1.0
             Y = B.copy()
@@ -304,15 +296,13 @@ def solve_offline(scenario: Scenario, tol: float = DEFAULT_TOL, max_iter: int = 
                 break
     if residual > tol:
         raise ConvergenceError(f"no convergence after {iterations} iterations, residual {residual:.3g}")
-    return QpSolution(ChargingSchedule(B), _objective(B.sum(axis=0), lb, pm), iterations, residual)
+    return QpSolution(ChargingSchedule(B), bill(B.sum(axis=0), lb, pm), iterations, residual)
 
 
 def kkt_residual(B, scenario: Scenario, mask=None, b_max=None, demands=None, caps=None, tol=DEFAULT_TOL) -> float:
     """Fixed-point residual of the projected-gradient map (0 at a KKT point); refuses an unreachable cap."""
     if mask is None:
-        mask = scenario.window_mask()
-        b_max = scenario.b_max_vector
-        demands = scenario.demand_vector
+        mask, b_max, demands = scenario.mask, scenario.b_max, scenario.demand
         caps = np.full(scenario.horizon, scenario.load_cap) - scenario.base_load
     if np.isfinite(scenario.load_cap):
         _check_cap_feasibility(scenario, mask, b_max, demands, caps, tol)
@@ -390,9 +380,7 @@ def project_allocation(aggregate_target, scenario: Scenario, tol: float = DEFAUL
     target = np.asarray(aggregate_target, dtype=float)
     if target.shape != (scenario.horizon,):
         raise SolverError(f"target length {target.shape} does not match horizon {scenario.horizon}")
-    mask = scenario.window_mask()
-    b_max = scenario.b_max_vector
-    demands = scenario.demand_vector
+    mask, b_max, demands = scenario.mask, scenario.b_max, scenario.demand
     caps = np.full(scenario.horizon, scenario.load_cap) - scenario.base_load
     if np.isfinite(scenario.load_cap):
         _check_cap_feasibility(scenario, mask, b_max, demands, caps, tol)

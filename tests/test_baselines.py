@@ -11,10 +11,9 @@ from evchargelab.baselines import (
     aem_schedule,
     aem_train,
     ec_schedule,
-    laxity_minimum,
     oa_schedule,
 )
-from evchargelab.model import ChargingSchedule, horizon_cost, validate_schedule
+from evchargelab.model import ChargingSchedule, horizon_cost, laxity_corridor, validate_schedule
 from evchargelab.solvers import solve_offline
 
 from conftest import make_ev, make_scenario, random_feasible_scenario
@@ -22,15 +21,17 @@ from test_scenario import five_ev_fleet
 
 
 class TestLaxityMinimum:
+    """The (laxity minimum, headroom) pair of `laxity_corridor`."""
+
     def test_no_urgency(self):
-        assert laxity_minimum(2.0, 3.0, slots_left=4) == 0.0
+        assert laxity_corridor(2.0, 3.0, slots_after=3) == (0.0, 2.0)
 
     def test_last_slot_forces_residual(self):
-        assert laxity_minimum(2.0, 3.0, slots_left=1) == 2.0
+        assert laxity_corridor(2.0, 3.0, slots_after=0) == (2.0, 2.0)
 
     def test_partial_forcing(self):
-        # 5 kWh left, 2 remaining slots at 3 kWh/slot: must charge >= 2 now.
-        assert laxity_minimum(5.0, 3.0, slots_left=2) == 2.0
+        # 5 kWh left, 1 slot after this one at 3 kWh/slot: must charge >= 2 now.
+        assert laxity_corridor(5.0, 3.0, slots_after=1) == (2.0, 3.0)
 
 
 class TestEcSchedule:

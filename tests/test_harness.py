@@ -21,7 +21,7 @@ from evchargelab.harness import (
     run_experiment,
     sweep,
 )
-from evchargelab.model import horizon_cost, validate_schedule
+from evchargelab.model import ChargingSchedule, PriceModel, horizon_cost, validate_schedule
 from evchargelab.rl import TrainConfig
 
 
@@ -98,6 +98,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
 
+    def test_trainer_and_aem_sections(self, tmp_path):
+        extra = "[sca]\nk_max = 1e3\nreward = exact-cost\n[aem]\nlevels = 9\nlearning_rate = 0.2\n"
+        cfg = load_config(write_config(tmp_path, extra))
+        assert cfg.sca == replace(TrainConfig(), k_max=1000)
+        assert cfg.calc == TrainConfig()
+        assert cfg.aem == AemSettings(levels=9, learning_rate=0.2)
+        bad = write_config(tmp_path, "[aem]\nlevels = nine\n")
+        with pytest.raises(ConfigError, match="invalid literal"):
+            load_config(bad)
+
     def test_bad_value_is_config_error(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[run]\nalgorithms = EC\nseeds = one,two\n")
@@ -156,6 +166,22 @@ class TestRunExperiment:
         assert sorted(m.algorithm for m in result.metrics) == ["AEM", "CALC", "EC", "OA", "SCA"]
         # learning algorithms carry convergence curves
         assert ("SCA", 1) in result.curves and ("CALC", 1) in result.curves
+
+    def test_non_finite_schedule_is_a_failure(self, monkeypatch):
+        def nan_schedule(policy, scenario, reward_mode):
+            return ChargingSchedule(np.full((scenario.n_evs, scenario.horizon), np.nan))
+
+        monkeypatch.setattr(harness, "sca_schedule", nan_schedule)
+        result = run_experiment(fast_cfg(algorithms=("SCA",)))
+        assert not result.metrics
+        assert [f.algorithm for f in result.failures] == ["SCA"]
+        assert "failed validation" in result.failures[0].error
+
+    def test_zero_price_scale_scenario_runs_finite(self):
+        spec = small_spec(base_low=0.0, base_high=0.0, price=PriceModel(k0=0.0, k1=0.001))
+        result = run_experiment(fast_cfg(algorithms=("EC", "SCA"), scenario=spec))
+        assert result.ok, [f.error for f in result.failures]
+        assert all(np.isfinite(m.total_cost) for m in result.metrics)
 
     def test_per_run_isolation(self):
         # A load cap tight enough to break eager charging (which ignores it)
@@ -294,6 +320,14 @@ class TestCli:
 
     def test_report_missing_dir_exit_two(self, tmp_path):
         assert cli.main(["report", "--in", str(tmp_path / "void")]) == cli.EXIT_CONFIG_ERROR
+
+    def test_sweep_param_choices(self):
+        parser = cli.build_parser()
+        for param in harness.SWEEPABLE:
+            args = parser.parse_args(["sweep", "--config", "x.ini", "--param", param, "--values", "1"])
+            assert args.param == param
+        with pytest.raises(SystemExit):
+            parser.parse_args(["sweep", "--config", "x.ini", "--param", "slot_hours", "--values", "1"])
 
     def test_sweep_cli(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -9,14 +9,14 @@ from evchargelab.model import (
     ModelError,
     PriceModel,
     Scenario,
-    SlotLoad,
+    Violation,
     horizon_cost,
     slot_cost,
-    unit_price,
     validate_schedule,
 )
+from evchargelab.rl.env import ChargingEnv
 
-from conftest import make_ev, make_scenario
+from conftest import make_ev, make_scenario, random_feasible_scenario
 
 
 class TestPriceModel:
@@ -31,23 +31,33 @@ class TestPriceModel:
             PriceModel(k1=-1.0)
 
 
+def unit_price(l_ev, l_b, k0, k1):
+    """Unit price k0 + 2*k1*(l_ev + l_b) as the per-EV env's price feature reports it.
+
+    One EV charges l_ev in slot 1; the feature of slot 2 prices that load on
+    top of slot 2's base load l_b.
+    """
+    ev = make_ev(0, 1, 2, demand=max(l_ev, 1.0), b_max=max(l_ev, 1.0), capacity=1000.0)
+    env = ChargingEnv(make_scenario([ev], horizon=2, base_load=[0.0, l_b], k0=k0, k1=k1))
+    return env.step(np.array([l_ev])).next_state.price * env.price_scale
+
+
 class TestUnitPrice:
     def test_hand_value(self):
-        assert unit_price(10, 20, PriceModel(k0=0.1, k1=0.005)) == pytest.approx(0.4)
+        assert unit_price(10, 20, k0=0.1, k1=0.005) == pytest.approx(0.4)
 
     def test_linear_term_only(self):
-        pm = PriceModel(k0=0.37, k1=0.0)
         for l_ev, l_b in [(0, 0), (5, 3), (100, 200)]:
-            assert unit_price(l_ev, l_b, pm) == 0.37
+            assert unit_price(l_ev, l_b, k0=0.37, k1=0.0) == pytest.approx(0.37, rel=1e-15)
 
     def test_zero_load(self):
-        assert unit_price(0, 0, PriceModel(k0=0.2, k1=1.0)) == 0.2
+        assert unit_price(0, 0, k0=0.2, k1=1.0) == pytest.approx(0.2, rel=1e-15)
 
     def test_negative_load_rejected(self):
+        # A negative base load is refused; a negative charge is clipped to no load.
         with pytest.raises(ModelError):
-            unit_price(-1, 0, PriceModel())
-        with pytest.raises(ModelError):
-            unit_price(0, -1, PriceModel())
+            make_scenario([], horizon=2, base_load=[0.0, -1.0])
+        assert unit_price(-1, 0, k0=0.1, k1=0.5) == pytest.approx(0.1, rel=1e-15)
 
 
 class TestSlotCost:
@@ -91,7 +101,7 @@ class TestSlotCost:
 class TestHorizonCost:
     def test_zero_schedule(self):
         scn = make_scenario([make_ev(demand=0.0)], horizon=3)
-        assert horizon_cost(ChargingSchedule.zeros(scn), scn) == 0.0
+        assert horizon_cost(ChargingSchedule(np.zeros((1, 3))), scn) == 0.0
 
     def test_single_slot_reduces_to_slot_cost(self):
         ev = make_ev(t_arr=1, t_dep=1, demand=2.0)
@@ -122,10 +132,6 @@ class TestHorizonCost:
 
 
 class TestInvariants:
-    def test_slot_load_total(self):
-        load = SlotLoad(l_ev=3.5, l_b=10.25)
-        assert load.total == pytest.approx(13.75, abs=1e-9)
-
     def test_ev_profile_rejects_bad_windows(self):
         with pytest.raises(ModelError):
             make_ev(t_arr=5, t_dep=3)
@@ -142,6 +148,31 @@ class TestInvariants:
     def test_scenario_rejects_cap_below_base(self):
         with pytest.raises(ModelError):
             Scenario(horizon=2, base_load=np.array([5.0, 10.0]), evs=(), load_cap=8.0)
+
+    def test_scenario_rejects_duplicate_ids(self):
+        # Schedules are per row, but OA's re-solves name EVs by id.
+        with pytest.raises(ModelError, match="duplicate EV id 1"):
+            make_scenario([make_ev(1, 1, 3, demand=2.0), make_ev(1, 2, 5, demand=6.0)], horizon=5)
+
+
+class TestFleetArrays:
+    def test_arrays_follow_evs(self):
+        evs = [make_ev(3, 2, 4, demand=1.5, b_max=2.0, capacity=30.0, soc=0.2), make_ev(7, 1, 1, demand=0.5)]
+        scn = make_scenario(evs, horizon=5)
+        assert scn.t_arr.tolist() == [2, 1] and scn.t_dep.tolist() == [4, 1]
+        assert scn.demand.tolist() == [1.5, 0.5] and scn.b_max.tolist() == [2.0, 4.0]
+        assert scn.capacity.tolist() == [30.0, 36.0] and scn.soc_init.tolist() == [0.2, 0.0]
+        assert scn.mask.tolist() == [[False, True, True, True, False], [True, False, False, False, False]]
+
+    def test_empty_fleet(self):
+        scn = make_scenario([], horizon=3)
+        assert scn.demand.shape == (0,) and scn.mask.shape == (0, 3)
+
+    def test_arrays_read_only(self):
+        scn = make_scenario([make_ev(0, 1, 2, demand=1.0)], horizon=2)
+        for name in ("t_arr", "t_dep", "demand", "b_max", "capacity", "soc_init", "mask"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(scn, name)[0] = 0
 
 
 class TestValidateSchedule:
@@ -175,6 +206,56 @@ class TestValidateSchedule:
         sched = ChargingSchedule(np.array([[2.5, 0.5, 0.0], [0.0, 0.5, 0.5]]))
         report = validate_schedule(sched, scn)
         assert any(v.kind == "bound" and v.magnitude == pytest.approx(0.5) for v in report.violations)
+
+    def test_non_finite_amounts_flagged(self):
+        scn = make_scenario(self._scenario().evs, horizon=3)  # no load cap
+        for bad in (np.nan, np.inf, -np.inf):
+            amounts = np.array([[2.0, 1.0, 0.0], [0.0, 0.5, 0.5]])
+            amounts[0, 1] = bad
+            report = validate_schedule(ChargingSchedule(amounts), scn)
+            assert not report.passed
+            assert [(v.kind, v.ev_id, v.slot) for v in report.violations] == [("demand", 0, None), ("bound", 0, 2)]
+        outside = np.array([[2.0, 1.0, np.nan], [0.0, 0.5, 0.5]])
+        report = validate_schedule(ChargingSchedule(outside), scn)
+        assert [(v.kind, v.ev_id, v.slot) for v in report.violations] == [("demand", 0, None), ("window", 0, 3)]
+
+    def test_violation_order(self):
+        scn = self._scenario()
+        amounts = np.array([[2.5, 1.0, 0.3], [0.2, -0.5, 0.0]])
+        report = validate_schedule(ChargingSchedule(amounts), scn, tol=1e-6)
+        assert [(v.kind, v.ev_id, v.slot) for v in report.violations] == [
+            ("demand", 0, None), ("bound", 0, 1), ("window", 0, 3),
+            ("demand", 1, None), ("window", 1, 1), ("bound", 1, 2),
+        ]
+        assert [v.magnitude for v in report.violations] == pytest.approx([0.8, 0.5, 0.3, 1.3, 0.2, 0.5])
+
+    def test_matches_per_cell_loop(self, rng):
+        # The per-cell loop validate_schedule replaced, on finite schedules.
+        def per_cell(schedule, scn, tol):
+            found = []
+            for row, ev in enumerate(scn.evs):
+                gap = abs(schedule.amounts[row].sum() - ev.demand_kwh)
+                if gap > tol:
+                    found.append(Violation("demand", ev.id, None, gap))
+                for col, amount in enumerate(schedule.amounts[row]):
+                    if not ev.t_arr <= col + 1 <= ev.t_dep:
+                        if abs(amount) > tol:
+                            found.append(Violation("window", ev.id, col + 1, abs(amount)))
+                    elif amount < -tol:
+                        found.append(Violation("bound", ev.id, col + 1, -amount))
+                    elif amount > ev.b_max + tol:
+                        found.append(Violation("bound", ev.id, col + 1, amount - ev.b_max))
+            totals = schedule.slot_totals() + scn.base_load
+            for col in range(scn.horizon):
+                if totals[col] - scn.load_cap > tol:
+                    found.append(Violation("load_cap", None, col + 1, totals[col] - scn.load_cap))
+            return tuple(found)
+
+        for k in range(30):
+            scn = random_feasible_scenario(np.random.default_rng(50 + k), n_max=8, with_cap=True)
+            amounts = rng.uniform(-1.0, 5.0, (scn.n_evs, scn.horizon)) * (rng.random((scn.n_evs, scn.horizon)) < 0.3)
+            report = validate_schedule(ChargingSchedule(amounts), scn, tol=1e-6)
+            assert report.violations == per_cell(ChargingSchedule(amounts), scn, 1e-6)
 
     def test_load_cap_violation(self):
         evs = [make_ev(0, 1, 1, demand=2.0, b_max=2.0)]

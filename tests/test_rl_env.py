@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from evchargelab.harness import benchmark_spec, build_scenario
 from evchargelab.model import slot_cost
 from evchargelab.rl.env import (
     REWARD_EXACT,
-    REWARD_PER_EV,
     REWARD_REGRET,
     AggregateEnv,
     ChargingEnv,
@@ -55,15 +55,6 @@ class TestChargingEnv:
         transition = env.step(np.array([1.5]))
         assert transition.reward == pytest.approx(-slot_cost([1.5], 1.0, scn.price))
 
-    def test_per_ev_reward_mode(self):
-        evs = [make_ev(i, 1, 4, demand=4.0, b_max=2.0) for i in range(2)]
-        scn = make_scenario(evs, horizon=4, base_load=[3.0] * 4, k0=0.1, k1=0.01)
-        env = ChargingEnv(scn, REWARD_PER_EV)
-        b = np.array([1.0, 2.0])
-        transition = env.step(b)
-        expected = -np.sum((0.1 + 2 * 0.01 * b + 2 * 0.01 * 3.0) * b)
-        assert transition.reward == pytest.approx(expected)
-
     def test_unknown_reward_mode(self):
         with pytest.raises(ValueError):
             ChargingEnv(self._slack_scenario(), "bonus-points")
@@ -89,7 +80,7 @@ class TestChargingEnv:
                 transition = env.step(action)
                 for row, ev in enumerate(scn.evs):
                     assert -1e-12 <= transition.action[row] <= ev.b_max + 1e-12
-                    if not ev.parked(t):
+                    if not scn.mask[row, t - 1]:
                         assert transition.action[row] == 0.0
             assert np.all(env.residuals <= 1e-6)
 
@@ -121,6 +112,14 @@ class TestChargingEnv:
         while not env.done:
             assert 0.0 < env.state.price <= 1.0
             env.step(np.zeros(1))
+
+    def test_price_scale_floored(self):
+        # k0 = 0 on a zero base load with no cap: the scale would be 0 and the price 0/0.
+        env = ChargingEnv(make_scenario([make_ev(0, 1, 4, demand=2.0)], horizon=4, k0=0.0, k1=0.001))
+        assert env.price_scale > 0.0 and np.isfinite(env.state.price)
+        # The shipped benchmark's scale is unchanged: k0 + 2 * k1 * (2 * peak base load).
+        bench = ChargingEnv(build_scenario(benchmark_spec(), 1)[0])
+        assert bench.price_scale == 0.01 + 2.0 * 0.01 * 2.0
 
     def test_done_after_horizon_without_evs(self):
         scn = make_scenario([], horizon=3, base_load=[1.0] * 3)
@@ -160,7 +159,7 @@ class TestAggregateEnv:
         env = AggregateEnv(self._scenario())
         transition = env.step(5.0 / env.action_scale)
         assert transition.action[0] == pytest.approx(5.0)
-        assert np.all(env.scenario.demand_vector - env.residuals <= 2.0 + 1e-12)
+        assert np.all(env.scenario.demand - env.residuals <= 2.0 + 1e-12)
 
     def test_rollout_meets_demand(self, rng):
         for k in range(5):
@@ -193,3 +192,61 @@ class TestAggregateEnv:
         env = AggregateEnv(scn, REWARD_EXACT)
         transition = env.step(4.0 / env.action_scale)
         assert transition.reward == pytest.approx(-slot_cost([4.0], 2.0, scn.price))
+
+
+def per_ev_bounds(env):
+    """ChargingEnv's corridor computed EV by EV, as the per-EV loop did."""
+    lo, hi = np.zeros(env.scenario.n_evs), np.zeros(env.scenario.n_evs)
+    for row, ev in enumerate(env.scenario.evs):
+        residual = env.residuals[row]
+        if not ev.t_arr <= env.t <= ev.t_dep or residual <= 0:
+            continue
+        hi[row] = min(ev.b_max, residual)
+        lo[row] = min(max(0.0, residual - ev.b_max * max(ev.t_dep - env.t, 0)), hi[row])
+    return lo, hi
+
+
+def per_ev_soc(env):
+    """ChargingEnv's SOC feature computed EV by EV."""
+    t = min(env.t, env.scenario.horizon)
+    return np.array([min(ev.soc_init + env.charged[row] / ev.capacity_kwh, 1.0) if ev.t_arr <= t <= ev.t_dep else 0.0
+                     for row, ev in enumerate(env.scenario.evs)])
+
+
+def per_ev_aggregate_bounds(env):
+    """AggregateEnv's corridor: per-EV laxity minima and headrooms, summed."""
+    t = min(env.t, env.scenario.horizon)
+    lo, hi = [], []
+    for row, ev in enumerate(env.scenario.evs):
+        residual = env.residuals[row]
+        if ev.t_arr <= t <= ev.t_dep and residual > 1e-9:
+            hi.append(min(ev.b_max, residual))
+            lo.append(max(residual - ev.b_max * (ev.t_dep - t), 0.0))
+    top = float(np.sum(hi))
+    return min(float(np.sum(lo)), top) / env.action_scale, top / env.action_scale
+
+
+class TestCorridorMatchesPerEvFormulas:
+    """The array kernels give exactly what the per-EV formulas give, along random rollouts."""
+
+    def test_charging_env(self, rng):
+        for k in range(20):
+            scn = random_feasible_scenario(np.random.default_rng(1000 + k), n_max=12, t_max=24)
+            env = ChargingEnv(scn)
+            while True:
+                np.testing.assert_array_equal(env.state.soc, per_ev_soc(env))
+                if env.done:
+                    break
+                lo, hi = env.bounds()
+                ref_lo, ref_hi = per_ev_bounds(env)
+                np.testing.assert_array_equal(lo, ref_lo)
+                np.testing.assert_array_equal(hi, ref_hi)
+                env.step(rng.uniform(-1.0, 5.0, size=scn.n_evs))
+
+    def test_aggregate_env(self, rng):
+        for k in range(20):
+            scn = random_feasible_scenario(np.random.default_rng(2000 + k), n_max=12, t_max=24)
+            env = AggregateEnv(scn, REWARD_REGRET)
+            while not env.done:
+                assert env.bounds() == per_ev_aggregate_bounds(env)
+                env.step(float(rng.uniform(-1.0, 3.0)))

@@ -12,8 +12,8 @@ from evchargelab.rl.nets import (
     init_policy,
     log_policy_density,
     log_policy_gradient,
+    policy_draw,
     policy_forward,
-    policy_sample,
 )
 
 
@@ -106,7 +106,7 @@ class TestSampling:
         params.log_sigma[:] = -20.0  # clamped to the floor, sigma ~ 6.7e-3
         state = rng.normal(size=3)
         _, mu, _ = policy_forward(params, state)
-        action = policy_sample(params, state, rng, 0.0, 3.2)
+        action = np.clip(policy_draw(params, state, rng), 0.0, 3.2)
         assert action == pytest.approx(np.clip(mu, 0.0, 3.2), abs=0.05)
 
     def test_low_mean_clips_to_zero(self, rng):
@@ -114,14 +114,14 @@ class TestSampling:
         params.b_mu[:] = -5.0
         params.w_mu[:] = 0.0
         params.log_sigma[:] = -5.0
-        action = policy_sample(params, rng.normal(size=3), rng, 0.0, 3.2)
+        action = np.clip(policy_draw(params, rng.normal(size=3), rng), 0.0, 3.2)
         assert action == pytest.approx([0.0], abs=1e-6)
 
     def test_seeded_reproducible(self):
         params = small_policy(np.random.default_rng(0))
         state = np.array([0.1, 0.2, 0.3])
-        a1 = policy_sample(params, state, np.random.default_rng(9), 0.0, 3.2)
-        a2 = policy_sample(params, state, np.random.default_rng(9), 0.0, 3.2)
+        a1 = np.clip(policy_draw(params, state, np.random.default_rng(9)), 0.0, 3.2)
+        a2 = np.clip(policy_draw(params, state, np.random.default_rng(9)), 0.0, 3.2)
         np.testing.assert_array_equal(a1, a2)
 
 

@@ -14,17 +14,14 @@ from evchargelab.rl.serialize import (
 )
 from evchargelab.rl.train import (
     ADVANTAGE_MODES,
-    ConstantRate,
-    PolynomialRate,
+    ParameterStore,
     TrainConfig,
     TrainingDiverged,
     TrainResult,
     _run_training,
     accumulate_return,
-    actor_update,
     calc_aggregate_series,
     calc_schedule,
-    check_robbins_monro,
     critic_update,
     replay_training,
     sca_schedule,
@@ -88,38 +85,22 @@ class TestScalarUpdates:
         critic_update(params, 2.0, scalar_critic(theta=3.0), beta_c=0.0)
         assert params.w_value[0] == 1.0
 
+    # The actor step is the store's push: policy += beta_a * accumulated score.
     def test_actor_update_scalar(self):
-        params = scalar_policy(theta=0.0)
-        score = scalar_policy(theta=2.0)
-        actor_update(params, delta=1.0, score=score, beta_a=0.5)
-        assert params.w_mu[0, 0] == pytest.approx(1.0)
+        store = ParameterStore(scalar_policy(theta=0.0), scalar_critic(), TrainConfig(beta_a=0.5))
+        store.push(0, scalar_policy(theta=2.0), scalar_critic(theta=0.0), steps=1)
+        assert store.policy.w_mu[0, 0] == pytest.approx(1.0)
 
     def test_actor_update_noop_on_zero_delta(self):
-        params = scalar_policy(theta=0.3)
-        actor_update(params, 0.0, scalar_policy(theta=2.0), beta_a=0.5)
-        assert params.w_mu[0, 0] == 0.3
+        store = ParameterStore(scalar_policy(theta=0.3), scalar_critic(), TrainConfig(beta_a=0.5))
+        store.push(0, scalar_policy(theta=0.0), scalar_critic(theta=0.0), steps=1)
+        assert store.policy.w_mu[0, 0] == 0.3
 
     def test_non_finite_delta_skipped_with_warning(self):
-        params = scalar_policy(theta=0.3)
+        params = scalar_critic(theta=0.3)
         with pytest.warns(UserWarning):
-            actor_update(params, float("nan"), scalar_policy(theta=2.0), beta_a=0.5)
-        assert params.w_mu[0, 0] == 0.3
-
-
-class TestRobbinsMonro:
-    def test_constant_rate_fails(self):
-        assert not check_robbins_monro(ConstantRate(0.1))
-
-    def test_inverse_t_passes(self):
-        assert check_robbins_monro(PolynomialRate(0.5, power=1.0))
-
-    def test_slow_decay_fails(self):
-        # power <= 1/2: the squared series diverges too.
-        assert not check_robbins_monro(PolynomialRate(0.5, power=0.4))
-
-    def test_fast_decay_fails(self):
-        # power > 1: the step series itself is summable.
-        assert not check_robbins_monro(PolynomialRate(0.5, power=1.5))
+            critic_update(params, float("nan"), scalar_critic(theta=2.0), beta_c=0.5)
+        assert params.w_value[0] == 0.3
 
 
 class TestTrainConfig:
@@ -231,10 +212,14 @@ class TestTraining:
             np.testing.assert_array_equal(a, b)
         assert result.critic.b_value == replayed.critic.b_value
 
-    def test_compatible_critic_flag_runs(self):
-        scn = random_feasible_scenario(np.random.default_rng(45))
-        result = train_sca(lambda seed: scn, tiny_cfg(k_max=200, compatible_critic=True))
-        assert np.all(np.isfinite(result.policy.w_mu))
+    def test_untrained_policy_on_zero_price_scale_scenario(self):
+        # k0 = 0, a zero base load and no cap give the per-EV env no price scale.
+        evs = [make_ev(i, 1 + i, 6 + i, demand=5.0, b_max=2.0) for i in range(3)]
+        scn = make_scenario(evs, horizon=10, k0=0.0, k1=0.001)
+        policy = init_policy(scn.n_evs + 1, scn.n_evs, np.random.default_rng(0), hidden=16)
+        sched = sca_schedule(policy, scn)
+        assert np.all(np.isfinite(sched.amounts))
+        assert validate_schedule(sched, scn).passed
 
     def test_calc_stage1_and_projection(self):
         for k in range(2):

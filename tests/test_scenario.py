@@ -1,4 +1,4 @@
-"""Fleet sampling, base-load ingestion, active-set and window tests."""
+"""Fleet sampling, base-load ingestion, window-mask and rolling-window tests."""
 
 import numpy as np
 import pytest
@@ -13,14 +13,13 @@ from evchargelab.scenario import (
     FleetConfig,
     ScenarioError,
     SocDistribution,
-    active_set,
     load_base_series,
-    rolling_window,
     sample_fleet,
     synthetic_base_load,
 )
+from evchargelab.solvers import SolverError, solve_rolling_step
 
-from conftest import make_ev
+from conftest import make_ev, make_scenario
 
 
 def five_ev_fleet():
@@ -147,30 +146,41 @@ class TestBaseLoad:
         assert np.argmax(series[:24]) == 19  # slot 20
 
 
+def parked_ids(scn, t):
+    """IDs of the EVs whose window mask is set at slot t."""
+    return {ev.id for ev, parked in zip(scn.evs, scn.mask[:, t - 1]) if parked}
+
+
+def rolling_window(scn, t):
+    """Window of the rolling re-solve at slot t over every parked EV's full demand."""
+    return solve_rolling_step(scn, t, {ev.id: ev.demand_kwh for ev in scn.evs if ev.id in parked_ids(scn, t)}).window
+
+
 class TestActiveSetAndWindow:
     def test_slot_four_membership(self):
-        assert active_set(five_ev_fleet(), 4) == {2, 3, 4, 5}
+        assert parked_ids(make_scenario(five_ev_fleet(), horizon=10), 4) == {2, 3, 4, 5}
 
     def test_window_slot_four(self):
-        assert list(rolling_window(five_ev_fleet(), 4)) == [4, 5, 6, 7, 8, 9]
+        assert list(rolling_window(make_scenario(five_ev_fleet(), horizon=10), 4)) == [4, 5, 6, 7, 8, 9]
 
     def test_empty_before_arrivals(self):
-        evs = [make_ev(1, t_arr=5, t_dep=9, demand=2.0)]
-        assert active_set(evs, 2) == set()
-        assert len(rolling_window(evs, 2)) == 0
+        scn = make_scenario([make_ev(1, t_arr=5, t_dep=9, demand=2.0)], horizon=10)
+        assert parked_ids(scn, 2) == set()
+        with pytest.raises(SolverError, match="no EV parked"):
+            rolling_window(scn, 2)
 
     def test_single_slot_window(self):
-        evs = [make_ev(1, t_arr=6, t_dep=6, demand=2.0)]
-        assert list(rolling_window(evs, 6)) == [6]
-        assert active_set(evs, 6) == {1}
-        assert active_set(evs, 7) == set()
+        scn = make_scenario([make_ev(1, t_arr=6, t_dep=6, demand=2.0)], horizon=10)
+        assert list(rolling_window(scn, 6)) == [6]
+        assert parked_ids(scn, 6) == {1}
+        assert parked_ids(scn, 7) == set()
 
     def test_window_is_max_departure(self):
         evs = [make_ev(1, t_arr=1, t_dep=6, demand=2.0), make_ev(2, t_arr=2, t_dep=9, demand=2.0)]
-        assert list(rolling_window(evs, 5)) == [5, 6, 7, 8, 9]
+        assert list(rolling_window(make_scenario(evs, horizon=10), 5)) == [5, 6, 7, 8, 9]
 
     def test_membership_matches_intervals(self):
-        evs = five_ev_fleet()
-        for ev in evs:
+        scn = make_scenario(five_ev_fleet(), horizon=11)
+        for ev in scn.evs:
             for t in range(1, 12):
-                assert (ev.id in active_set(evs, t)) == (ev.t_arr <= t <= ev.t_dep)
+                assert (ev.id in parked_ids(scn, t)) == (ev.t_arr <= t <= ev.t_dep)

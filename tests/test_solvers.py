@@ -35,7 +35,7 @@ def grid_best_cost(scenario, step=0.1):
     from itertools import product
 
     n, t = scenario.n_evs, scenario.horizon
-    mask = scenario.window_mask()
+    mask = scenario.mask
     best = np.inf
     per_ev_options = []
     for i, ev in enumerate(scenario.evs):
@@ -170,7 +170,7 @@ def fleet_104():
 
 def lp_min_peak(scn):
     """Least achievable peak of base plus EV load (LP reference)."""
-    mask = scn.window_mask()
+    mask = scn.mask
     rows, cols = np.nonzero(mask)
     m = rows.size
     a_eq = np.zeros((scn.n_evs, m + 1))
@@ -178,10 +178,10 @@ def lp_min_peak(scn):
     a_ub = np.zeros((scn.horizon, m + 1))
     a_ub[cols, np.arange(m)] = 1.0
     a_ub[:, -1] = -1.0
-    bounds = [(0.0, scn.b_max_vector[i]) for i in rows] + [(None, None)]
+    bounds = [(0.0, scn.b_max[i]) for i in rows] + [(None, None)]
     cost = np.zeros(m + 1)
     cost[-1] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=-scn.base_load, A_eq=a_eq, b_eq=scn.demand_vector,
+    res = linprog(cost, A_ub=a_ub, b_ub=-scn.base_load, A_eq=a_eq, b_eq=scn.demand,
                   bounds=bounds, method="highs")
     assert res.status == 0
     return float(res.fun)
@@ -248,7 +248,7 @@ class TestCappedProjection:
         instances = [random_capped_instance(rng) for _ in range(19)]
         scn, peak = fleet_104()
         scn = replace(scn, load_cap=1.02 * peak)
-        instances.append((scn.window_mask(), scn.b_max_vector, scn.demand_vector, scn.load_cap - scn.base_load))
+        instances.append((scn.mask, scn.b_max, scn.demand, scn.load_cap - scn.base_load))
         for k, (mask, b_max, demands, caps) in enumerate(instances):
             V = (np.random.default_rng(0).normal(2.0, 2.0, mask.shape) if k == 19
                  else rng.normal(1.0, 3.0, mask.shape))
@@ -287,7 +287,7 @@ class TestCapFeasibility:
     def test_fleet_104_verdict(self, factor, feasible):
         scn, peak = fleet_104()
         scn = replace(scn, load_cap=factor * peak)
-        mask, b_max, demands = scn.window_mask(), scn.b_max_vector, scn.demand_vector
+        mask, b_max, demands = scn.mask, scn.b_max, scn.demand
         caps = scn.load_cap - scn.base_load
         reference = networkx_max_flow(mask, b_max, demands, caps)
         flow, _, _, _ = _max_flow(demands, np.where(mask, b_max[:, None], 0.0), caps)
@@ -324,11 +324,12 @@ class TestRollingStep:
         ev = make_ev(1, t_arr=3, t_dep=3, demand=2.0, b_max=3.0)
         scn = make_scenario([ev], horizon=4, base_load=[1.0] * 4)
         step = solve_rolling_step(scn, 3, {1: 2.0})
-        assert step.column(3) == pytest.approx({1: 2.0})
+        assert step.ev_ids == (1,) and step.window == range(3, 4)
+        assert step.amounts[:, 0] == pytest.approx([2.0])
 
     def test_window_spans_fig1_instance(self):
         scn = make_scenario(five_ev_fleet(), horizon=10, base_load=[1.0] * 10)
-        residuals = {ev.id: ev.demand_kwh for ev in scn.evs if ev.parked(4)}
+        residuals = {ev.id: ev.demand_kwh for ev, parked in zip(scn.evs, scn.mask[:, 3]) if parked}
         step = solve_rolling_step(scn, 4, residuals)
         assert sorted(step.ev_ids) == [2, 3, 4, 5]
         assert list(step.window) == [4, 5, 6, 7, 8, 9]
@@ -337,8 +338,7 @@ class TestRollingStep:
         evs = [make_ev(i, 1, 3, demand=3.0, b_max=2.0) for i in range(2)]
         scn = make_scenario(evs, horizon=3, base_load=[2.0] * 3, k1=0.1)
         step = solve_rolling_step(scn, 1, {0: 3.0, 1: 3.0})
-        col = step.column(1)
-        assert col[0] == pytest.approx(col[1], abs=1e-5)
+        assert step.amounts[0, 0] == pytest.approx(step.amounts[1, 0], abs=1e-5)
 
     def test_residual_exceeding_window_rejected(self):
         ev = make_ev(1, t_arr=2, t_dep=3, demand=2.0, b_max=1.0)
@@ -404,7 +404,7 @@ class TestProjectAllocation:
             scn = random_feasible_scenario(np.random.default_rng(300 + k), n_max=6, t_max=8)
             if capped:
                 scn = replace(scn, load_cap=lp_min_peak(scn) + 0.1)
-            target = rng.uniform(0.0, 2.0, scn.horizon) * scn.demand_vector.sum() / scn.horizon
+            target = rng.uniform(0.0, 2.0, scn.horizon) * scn.demand.sum() / scn.horizon
             res = project_allocation(target, scn)
             assert res.iterations > 0
             assert validate_schedule(res.schedule, scn, tol=1e-6).passed
@@ -413,7 +413,7 @@ class TestProjectAllocation:
 
 def qp_closest_pair(scn, clipped):
     """min |B - B*|^2 over demand-feasible B and B* with column sums = clipped, by SLSQP."""
-    mask = scn.window_mask()
+    mask = scn.mask
     rows, cols = np.nonzero(mask)
     m = rows.size
     ones = np.zeros((scn.n_evs, m))
@@ -423,7 +423,7 @@ def qp_closest_pair(scn, clipped):
     zero = np.zeros_like(by_slot)
     used = mask.any(axis=0)  # an empty slot's equation 0 = 0 would make the system singular
     a_eq = np.block([[ones, np.zeros_like(ones)], [zero[used], by_slot[used]]])
-    b_eq = np.concatenate([scn.demand_vector, clipped[used]])
+    b_eq = np.concatenate([scn.demand, clipped[used]])
     a_ub = np.hstack([by_slot, zero])
     room = np.minimum(scn.load_cap - scn.base_load, 1e6)
     diff = np.hstack([np.eye(m), -np.eye(m)])
@@ -431,9 +431,9 @@ def qp_closest_pair(scn, clipped):
         {"type": "eq", "fun": lambda x: a_eq @ x - b_eq, "jac": lambda x: a_eq},
         {"type": "ineq", "fun": lambda x: room - a_ub @ x, "jac": lambda x: -a_ub},
     ]
-    start = np.concatenate([project_rows_capped_simplex(np.zeros(mask.shape), scn.b_max_vector,
-                                                        scn.demand_vector, mask)[mask], np.zeros(m)])
-    bounds = [(0.0, scn.b_max_vector[i]) for i in rows] * 2
+    start = np.concatenate([project_rows_capped_simplex(np.zeros(mask.shape), scn.b_max,
+                                                        scn.demand, mask)[mask], np.zeros(m)])
+    bounds = [(0.0, scn.b_max[i]) for i in rows] * 2
     res = minimize(lambda x: np.sum((diff @ x) ** 2), start, jac=lambda x: 2.0 * diff.T @ (diff @ x),
                    method="SLSQP", bounds=bounds, constraints=constraints,
                    options={"ftol": 1e-16, "maxiter": 1000})
