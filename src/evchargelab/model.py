@@ -260,7 +260,8 @@ def validate_schedule(schedule: ChargingSchedule, scenario: Scenario, tol: float
         for col in np.flatnonzero(window[row] | bound[row]):
             kind = "window" if window[row, col] else "bound"
             violations.append(Violation(kind, ev_id, int(col) + 1, magnitude[row, col]))
-    excess = schedule.slot_totals() + scenario.base_load - scenario.load_cap
-    for col in np.flatnonzero(excess > tol):
-        violations.append(Violation("load_cap", None, int(col) + 1, excess[col]))
+    if np.isfinite(scenario.load_cap):  # inf - inf would be NaN for an infinite amount
+        excess = schedule.slot_totals() + scenario.base_load - scenario.load_cap
+        for col in np.flatnonzero(excess > tol):
+            violations.append(Violation("load_cap", None, int(col) + 1, excess[col]))
     return ValidationReport(passed=not violations, violations=tuple(violations))

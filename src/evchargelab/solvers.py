@@ -1,12 +1,13 @@
 """Deterministic optimization: offline oracle, rolling step, projection allocator.
 
-The offline problem is a convex QP (strictly convex in the per-slot
-aggregates when k1 > 0). It is solved with accelerated projected gradient
-descent. The feasible-set projection is exact: a row-wise capped-simplex
-projection when the load cap is slack, and projected Newton on the slot
-multipliers of the cap when it binds. Whether a finite load cap admits the
-demands at all is decided once per solve by a max-flow, whose minimum cut
-is the infeasibility certificate.
+The offline problem is a convex QP whose bill depends only on the slot
+totals. The oracle and the rolling step solve it exactly by a decomposition
+into max-flows (`_decompose`). Whether a finite load cap admits the demands
+at all is decided once per solve by a max-flow, whose minimum cut is the
+infeasibility certificate. The feasible-set projection (for the KKT residual
+and the allocator) is exact: a row-wise capped-simplex projection when the
+load cap is slack, and projected Newton on the slot multipliers of the cap
+when it binds.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChargingSchedule, EVProfile, Scenario, bill
+from .model import ChargingSchedule, Scenario, bill
 from .projections import _row_shifts, project_cols_capped_simplex, project_rows_capped_simplex
 
 DEFAULT_TOL = 1e-6
@@ -64,15 +65,13 @@ class ProjectionResult:
     iterations: int  # descent rounds; 0 when a max-flow met the target exactly
 
 
-def _check_per_ev_feasibility(scenario: Scenario, tol: float):
+def _check_per_ev_feasibility(ids, upper, demands, tol: float):
     """Raise InfeasibleScenarioError for the first EV whose demand its window cannot deliver."""
-    deliverable = scenario.b_max * (scenario.t_dep - scenario.t_arr + 1)
-    over = np.flatnonzero(scenario.demand > deliverable + tol)
+    deliverable = upper.sum(axis=1)
+    over = np.flatnonzero(demands > deliverable + tol)
     if over.size:
-        ev = scenario.evs[over[0]]
-        raise InfeasibleScenarioError(
-            f"EV {ev.id}: demand {ev.demand_kwh} exceeds deliverable {float(deliverable[over[0]])}"
-        )
+        i = over[0]
+        raise InfeasibleScenarioError(f"EV {ids[i]}: demand {demands[i]} exceeds deliverable {float(deliverable[i])}")
 
 
 def _max_flow(supply, upper, room):
@@ -147,18 +146,22 @@ def _max_flow(supply, upper, room):
     return flow, side[1 : n + 1], side[n + 1 : sink], flows
 
 
-def _check_cap_feasibility(scenario: Scenario, mask, b_max, demands, caps, tol: float):
-    """Raise InfeasibleScenarioError, with a minimum cut, unless the load cap admits every demand."""
-    upper = np.where(mask, b_max[:, None], 0.0)
+def _check_cap_feasibility(ids, upper, demands, window: range, scenario: Scenario, tol: float):
+    """Raise InfeasibleScenarioError, with a minimum cut, unless the load cap admits every demand.
+
+    Row i of `upper` and `demands` belongs to the EV with id ids[i], and
+    column j to slot window[j].
+    """
+    caps = scenario.load_cap - scenario.base_load[window.start - 1 : window.stop - 1]
     flow, evs, slots, _ = _max_flow(demands, upper, caps)
     if flow >= demands.sum() - tol:
         return
     need = float(demands[evs].sum())
     through = float(upper[evs][:, ~slots].sum() + caps[slots].sum())
-    ids = ", ".join(str(ev.id) for ev, cut in zip(scenario.evs, evs) if cut)
-    cut_slots = ", ".join(str(t + 1) for t in np.nonzero(slots)[0])
+    names = ", ".join(str(ev_id) for ev_id, cut in zip(ids, evs) if cut)
+    cut_slots = ", ".join(str(window[j]) for j in np.nonzero(slots)[0])
     raise InfeasibleScenarioError(
-        f"aggregate load cap {scenario.load_cap} unreachable: EVs {ids} need {need:.3f} kWh, "
+        f"aggregate load cap {scenario.load_cap} unreachable: EVs {names} need {need:.3f} kWh, "
         f"but the cap at slots {cut_slots} and the EVs' rate limits in their other slots "
         f"let through only {through:.3f} kWh"
     )
@@ -242,126 +245,105 @@ def _feasible_projector(mask, b_max, demands, caps, tol: float):
     return project
 
 
-def solve_offline(scenario: Scenario, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> QpSolution:
+def _decompose(ids, upper, demands, window: range, scenario: Scenario, tol: float):
+    """Exact least-bill schedule over the slots of `window` with 0 <= X <= upper and row sums =
+    demands, and its max-flow count.
+
+    The bill depends only on the slot totals S, as sum k1*(S_t + c_t)^2 plus a
+    constant, with c = base + k0/(2*k1), and the achievable S form a
+    polymatroid base, so the decomposition algorithm finds the optimum with a
+    few max-flows (Fujishige 1980). On a block of EVs and slots it routes the
+    water level S_t = clip(lam - c_t, 0, slot room) that meets the demand. If
+    the flow carries every demand, it is the block's schedule. Otherwise the
+    minimum cut splits the block: the source-side EVs charge at full rate on
+    the sink-side slots and keep the rest of their demand for the
+    source-side slots (a high block); the other EVs take the sink-side slots,
+    with that full-rate load added to c (a low block). The optimum also has
+    the least peak of base plus EV load, so a load cap that admits the
+    demands (a max-flow decides, with a minimum cut as certificate) never
+    binds it. With k1 = 0 every feasible schedule costs the same, and one
+    max-flow returns one; otherwise identical EVs get identical rows.
+    """
+    _check_per_ev_feasibility(ids, upper, demands, tol)
+    pm, base = scenario.price, scenario.base_load[window.start - 1 : window.stop - 1]
+    if np.isfinite(scenario.load_cap):
+        _check_cap_feasibility(ids, upper, demands, window, scenario, tol)
+    if pm.k1 == 0.0:
+        return _max_flow(demands, upper, np.minimum(scenario.load_cap - base, upper.sum(axis=0)))[3], 1
+    X = np.zeros(upper.shape)
+    flows = 0
+    stack = [(np.arange(upper.shape[0]), np.arange(upper.shape[1]), demands, base + pm.k0 / (2.0 * pm.k1))]
+    while stack:
+        rows, cols, d, c = stack.pop()
+        U = upper[np.ix_(rows, cols)]
+        room = U.sum(axis=0)
+        level = np.clip(-c - _row_shifts(-c[None, :], room[None, :], np.array([d.sum()])), 0.0, room)
+        _, evs, slots, F = _max_flow(d, U, level)
+        flows += 1
+        # No source-side EV: every demand is met. All slots on the source
+        # side: the flow is short by rounding only.
+        if not evs.any() or slots.all():
+            X[np.ix_(rows, cols)] = F
+            continue
+        full = U[evs][:, ~slots]
+        X[np.ix_(rows[evs], cols[~slots])] = full
+        for block in ((rows[evs], cols[slots], np.maximum(d[evs] - full.sum(axis=1), 0.0), c[slots]),
+                      (rows[~evs], cols[~slots], d[~evs], c[~slots] + full.sum(axis=0))):
+            if block[0].size and block[1].size:
+                stack.append(block)
+    group = np.unique(np.column_stack([upper, demands]), axis=0, return_inverse=True)[1].reshape(-1)
+    sums = np.zeros((group.max() + 1, upper.shape[1]))
+    np.add.at(sums, group, X)
+    return sums[group] / np.bincount(group)[group, None], flows
+
+
+def solve_offline(scenario: Scenario, tol: float = DEFAULT_TOL) -> QpSolution:
     """Minimize total charging cost with full knowledge of the fleet.
 
-    Returns a solution whose KKT residual (projected-gradient fixed-point
-    residual) is at most tol; raises ConvergenceError otherwise.
+    The schedule is exact (`_decompose`); `iterations` counts its max-flows
+    and `kkt_residual` is the schedule's projected-gradient residual.
     """
-    _check_per_ev_feasibility(scenario, tol)
-    n, T = scenario.n_evs, scenario.horizon
-    pm = scenario.price
-    lb = scenario.base_load
-    if n == 0:
-        return QpSolution(ChargingSchedule(np.zeros((0, T))), 0.0, 0, 0.0)
-    mask, b_max, demands = scenario.mask, scenario.b_max, scenario.demand
-    caps = np.full(T, scenario.load_cap) - lb
-    if np.isfinite(scenario.load_cap):
-        _check_cap_feasibility(scenario, mask, b_max, demands, caps, tol)
-    project = _feasible_projector(mask, b_max, demands, caps, tol)
-
-    if pm.k1 == 0.0:
-        # Linear objective with fixed per-EV totals: every feasible point is
-        # optimal; return the minimum-norm one for determinism.
-        B = project(np.zeros((n, T)))
-        return QpSolution(ChargingSchedule(B), bill(B.sum(axis=0), lb, pm), 0, 0.0)
-
-    L = 2.0 * pm.k1 * n
-    eta = 1.0 / L
-    B = project(np.tile((demands / np.maximum(mask.sum(axis=1), 1))[:, None], (1, T)) * mask)
-    Y = B.copy()
-    t_mom = 1.0
-    f_prev = np.inf
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        S = Y.sum(axis=0)
-        grad_slot = pm.k0 + 2.0 * pm.k1 * (S + lb)
-        G = np.where(mask, grad_slot[None, :], 0.0)
-        B_new = project(Y - eta * G)
-        f_new = bill(B_new.sum(axis=0), lb, pm)
-        if f_new > f_prev:  # restart momentum on objective increase
-            t_mom = 1.0
-            Y = B.copy()
-            f_prev = np.inf
-        else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-            Y = B_new + ((t_mom - 1.0) / t_next) * (B_new - B)
-            B, t_mom, f_prev = B_new, t_next, f_new
-        # The check must also run on restart iterations: an iterate parked at
-        # the optimum can oscillate by one float epsilon and restart forever.
-        if iterations % 10 == 0 or iterations == max_iter:
-            residual = _kkt_residual(B, scenario, mask, project)
-            if residual <= tol:
-                break
-    if residual > tol:
-        raise ConvergenceError(f"no convergence after {iterations} iterations, residual {residual:.3g}")
-    return QpSolution(ChargingSchedule(B), bill(B.sum(axis=0), lb, pm), iterations, residual)
+    if scenario.n_evs == 0:
+        return QpSolution(ChargingSchedule(np.zeros((0, scenario.horizon))), 0.0, 0, 0.0)
+    ids = [ev.id for ev in scenario.evs]
+    upper = np.where(scenario.mask, scenario.b_max[:, None], 0.0)
+    B, flows = _decompose(ids, upper, scenario.demand, range(1, scenario.horizon + 1), scenario, tol)
+    return QpSolution(ChargingSchedule(B), bill(B.sum(axis=0), scenario.base_load, scenario.price), flows,
+                      kkt_residual(B, scenario, tol))
 
 
-def kkt_residual(B, scenario: Scenario, mask=None, b_max=None, demands=None, caps=None, tol=DEFAULT_TOL) -> float:
+def kkt_residual(B, scenario: Scenario, tol=DEFAULT_TOL) -> float:
     """Fixed-point residual of the projected-gradient map (0 at a KKT point); refuses an unreachable cap."""
-    if mask is None:
-        mask, b_max, demands = scenario.mask, scenario.b_max, scenario.demand
-        caps = np.full(scenario.horizon, scenario.load_cap) - scenario.base_load
+    pm, mask, demands = scenario.price, scenario.mask, scenario.demand
+    caps = scenario.load_cap - scenario.base_load
     if np.isfinite(scenario.load_cap):
-        _check_cap_feasibility(scenario, mask, b_max, demands, caps, tol)
-    return _kkt_residual(B, scenario, mask, _feasible_projector(mask, b_max, demands, caps, tol))
-
-
-def _kkt_residual(B, scenario: Scenario, mask, project) -> float:
-    pm = scenario.price
-    S = B.sum(axis=0)
-    grad_slot = pm.k0 + 2.0 * pm.k1 * (S + scenario.base_load)
-    G = np.where(mask, grad_slot[None, :], 0.0)
+        _check_cap_feasibility([ev.id for ev in scenario.evs], np.where(mask, scenario.b_max[:, None], 0.0),
+                               demands, range(1, scenario.horizon + 1), scenario, tol)
+    project = _feasible_projector(mask, scenario.b_max, demands, caps, tol)
+    grad_slot = pm.k0 + 2.0 * pm.k1 * (B.sum(axis=0) + scenario.base_load)
     step = 1.0 / (2.0 * pm.k1 * max(scenario.n_evs, 1)) if pm.k1 > 0 else 1.0
-    moved = project(B - step * G)
-    return float(np.max(np.abs(B - moved)) / step)
-
-
-def _window_subscenario(scenario: Scenario, t: int, residuals: dict[int, float]):
-    """Reduced scenario over W(t) for the EVs parked at t with their residuals."""
-    parked = [ev for ev in scenario.evs if ev.t_arr <= t <= ev.t_dep and ev.id in residuals]
-    if not parked:
-        return None, None, None
-    t_end = max(ev.t_dep for ev in parked)
-    window = range(t, t_end + 1)
-    sub_evs = [
-        EVProfile(
-            id=ev.id,
-            t_arr=1,
-            t_dep=ev.t_dep - t + 1,
-            demand_kwh=max(residuals[ev.id], 0.0),
-            b_max=ev.b_max,
-            capacity_kwh=ev.capacity_kwh,
-            soc_init=0.0,
-        )
-        for ev in parked
-    ]
-    sub = Scenario(
-        horizon=len(window),
-        base_load=scenario.base_load[t - 1 : t_end],
-        evs=sub_evs,
-        price=scenario.price,
-        load_cap=scenario.load_cap,
-        slot_hours=scenario.slot_hours,
-    )
-    return sub, window, tuple(ev.id for ev in parked)
+    moved = project(B - step * np.where(mask, grad_slot[None, :], 0.0))
+    return float(np.max(np.abs(B - moved), initial=0.0) / step)
 
 
 def solve_rolling_step(scenario: Scenario, t: int, residuals: dict[int, float], tol: float = DEFAULT_TOL) -> RollingStepResult:
     """Re-solve the window problem at slot t for the currently parked EVs.
 
     residuals maps parked EV ids to their remaining demand; negative
-    residuals are rejected.
+    residuals are rejected. The window runs from t to the last departure.
     """
     if any(r < -tol for r in residuals.values()):
         raise SolverError("residual demands must be non-negative")
-    sub, window, ids = _window_subscenario(scenario, t, residuals)
-    if sub is None:
+    rows = [row for row, ev in enumerate(scenario.evs) if ev.id in residuals and scenario.mask[row, t - 1]]
+    if not rows:
         raise SolverError(f"no EV parked at slot {t}")
-    solution = solve_offline(sub, tol=tol)
-    return RollingStepResult(ev_ids=ids, window=window, amounts=solution.schedule.amounts)
+    ids = tuple(scenario.evs[row].id for row in rows)
+    t_end = int(scenario.t_dep[rows].max())
+    upper = np.where(scenario.mask[rows, t - 1 : t_end], scenario.b_max[rows, None], 0.0)
+    demands = np.maximum([residuals[i] for i in ids], 0.0)
+    window = range(t, t_end + 1)
+    amounts, _ = _decompose(ids, upper, demands, window, scenario, tol)
+    return RollingStepResult(ev_ids=ids, window=window, amounts=amounts)
 
 
 def project_allocation(aggregate_target, scenario: Scenario, tol: float = DEFAULT_TOL) -> ProjectionResult:
@@ -376,15 +358,16 @@ def project_allocation(aggregate_target, scenario: Scenario, tol: float = DEFAUL
     restarts when the step goes against the gradient at the extrapolated
     point (Beck & Teboulle 2009; O'Donoghue & Candes 2015).
     """
-    _check_per_ev_feasibility(scenario, tol)
+    mask, b_max, demands = scenario.mask, scenario.b_max, scenario.demand
+    ids = [ev.id for ev in scenario.evs]
+    upper = np.where(mask, b_max[:, None], 0.0)
+    _check_per_ev_feasibility(ids, upper, demands, tol)
     target = np.asarray(aggregate_target, dtype=float)
     if target.shape != (scenario.horizon,):
         raise SolverError(f"target length {target.shape} does not match horizon {scenario.horizon}")
-    mask, b_max, demands = scenario.mask, scenario.b_max, scenario.demand
-    caps = np.full(scenario.horizon, scenario.load_cap) - scenario.base_load
+    caps = scenario.load_cap - scenario.base_load
     if np.isfinite(scenario.load_cap):
-        _check_cap_feasibility(scenario, mask, b_max, demands, caps, tol)
-    upper = np.where(mask, b_max[:, None], 0.0)
+        _check_cap_feasibility(ids, upper, demands, range(1, scenario.horizon + 1), scenario, tol)
     clipped = np.clip(target, 0.0, np.minimum(upper.sum(axis=0), caps))
     clip_magnitude = float(np.sum(np.abs(target - clipped)))
 

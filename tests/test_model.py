@@ -207,6 +207,7 @@ class TestValidateSchedule:
         report = validate_schedule(sched, scn)
         assert any(v.kind == "bound" and v.magnitude == pytest.approx(0.5) for v in report.violations)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no inf - inf against the infinite cap
     def test_non_finite_amounts_flagged(self):
         scn = make_scenario(self._scenario().evs, horizon=3)  # no load cap
         for bad in (np.nan, np.inf, -np.inf):

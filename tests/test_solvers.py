@@ -129,14 +129,28 @@ class TestSolveOffline:
 
     def test_tight_cap_solves_at_uncapped_cost(self):
         # Regression (fault F2): 1.001x the least achievable peak of fleet 104
-        # was reported infeasible. On its flat base load the uncapped optimum
-        # already has the least peak, so the capped cost must equal it.
+        # was reported infeasible. The exact uncapped optimum also has the
+        # least peak, on fleet 104's flat base load and on non-flat ones, so
+        # a cap just above that peak must leave the cost as it is.
         scn, peak = fleet_104()
-        uncapped = solve_offline(scn)
-        capped = replace(scn, load_cap=1.001 * peak)
-        sol = solve_offline(capped)
-        assert validate_schedule(sol.schedule, capped, tol=1e-6).passed
-        assert sol.objective == pytest.approx(uncapped.objective, rel=1e-9)
+        instances = [(scn, 1.001 * peak)]
+        for k in range(30):
+            rng = np.random.default_rng(400 + k)
+            scn = random_feasible_scenario(rng)
+            scn = replace(scn, base_load=rng.uniform(0.0, 6.0, scn.horizon))
+            instances.append((scn, lp_min_peak(scn) + 1e-6))
+        for scn, cap in instances:
+            uncapped = solve_offline(scn)
+            capped = replace(scn, load_cap=cap)
+            sol = solve_offline(capped)
+            assert validate_schedule(sol.schedule, capped, tol=1e-6).passed
+            assert sol.objective == pytest.approx(uncapped.objective, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_exact_on_benchmark_fleets(self, seed):
+        # No EV charges in a slot dearer than one where it has room.
+        scn = build_scenario(benchmark_spec(), seed)[0]
+        assert price_gap(scn, solve_offline(scn).schedule.amounts).max() <= 1e-9
 
     def test_load_cap_respected(self):
         evs = [make_ev(i, 1, 4, demand=6.0, b_max=3.0) for i in range(2)]
@@ -159,6 +173,14 @@ class TestSolveOffline:
         sol = solve_offline(scn)
         assert sol.iterations < 1000
         assert sol.objective == pytest.approx(0.72830450654, abs=1e-8)
+
+
+def price_gap(scn, X):
+    """Per EV: the price of its dearest charging slot less that of its cheapest slot with room."""
+    price = scn.price.k0 + 2.0 * scn.price.k1 * (scn.base_load + X.sum(axis=0))
+    charging = scn.mask & (X > 1e-9)
+    room = scn.mask & (X < scn.b_max[:, None] - 1e-9)
+    return np.where(charging, price, -np.inf).max(axis=1) - np.where(room, price, np.inf).min(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -313,6 +335,9 @@ class TestKktResidual:
         with pytest.raises(InfeasibleScenarioError, match=r"EVs 0, 1, 2 need 12\.000 kWh"):
             kkt_residual(np.full((3, 2), 2.0), scn)
 
+    def test_zero_for_empty_fleet(self):
+        assert kkt_residual(np.zeros((0, 3)), make_scenario([], horizon=3)) == 0.0
+
     def test_positive_off_optimum(self):
         scn = make_scenario([make_ev(demand=4.0)], horizon=2, base_load=[1.0, 1.0], k1=0.5)
         bad = np.array([[4.0, 0.0]])
@@ -339,6 +364,14 @@ class TestRollingStep:
         scn = make_scenario(evs, horizon=3, base_load=[2.0] * 3, k1=0.1)
         step = solve_rolling_step(scn, 1, {0: 3.0, 1: 3.0})
         assert step.amounts[0, 0] == pytest.approx(step.amounts[1, 0], abs=1e-5)
+
+    def test_unreachable_cap_names_parked_evs(self):
+        # Rows 1 and 2 are parked at slot 2; their ids are not their rows.
+        evs = [make_ev(7, 1, 1, demand=0.5), make_ev(3, 2, 3, demand=2.0, b_max=2.0),
+               make_ev(5, 2, 3, demand=2.0, b_max=2.0)]
+        scn = make_scenario(evs, horizon=3, base_load=[4.0] * 3, load_cap=5.0)
+        with pytest.raises(InfeasibleScenarioError, match=r"EVs 3, 5 need 4\.000 kWh.*slots 2, 3 "):
+            solve_rolling_step(scn, 2, {3: 2.0, 5: 2.0})
 
     def test_residual_exceeding_window_rejected(self):
         ev = make_ev(1, t_arr=2, t_dep=3, demand=2.0, b_max=1.0)
