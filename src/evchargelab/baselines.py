@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ChargingSchedule, Scenario, flat_completion_change, laxity_corridor, slot_cost
+from .model import DEFAULT_TOL, ChargingSchedule, Scenario, flat_completion_change, laxity_corridor, slot_cost
 from .solvers import solve_rolling_step
 
 _Q_CLAMP = 1e9
@@ -65,7 +65,7 @@ def ec_schedule(scenario: Scenario) -> ChargingSchedule:
     return ChargingSchedule(B)
 
 
-def oa_schedule(scenario: Scenario, tol: float = 1e-6) -> ChargingSchedule:
+def oa_schedule(scenario: Scenario) -> ChargingSchedule:
     """Rolling online control: re-solve the window problem at each event.
 
     Events are EV arrivals, departures, and base-load changes; between
@@ -76,7 +76,7 @@ def oa_schedule(scenario: Scenario, tol: float = 1e-6) -> ChargingSchedule:
     plan = None
     lb = scenario.base_load
     for t in range(1, scenario.horizon + 1):
-        active = scenario.mask[:, t - 1] & (residuals > tol)
+        active = scenario.mask[:, t - 1] & (residuals > DEFAULT_TOL)
         if not active.any():
             plan = None
             continue
@@ -86,7 +86,7 @@ def oa_schedule(scenario: Scenario, tol: float = 1e-6) -> ChargingSchedule:
         stale = plan is None or t not in plan.window
         if arrival or departure or base_change or stale:
             plan_rows = np.flatnonzero(active)
-            plan = solve_rolling_step(scenario, t, {scenario.evs[r].id: residuals[r] for r in plan_rows}, tol=tol)
+            plan = solve_rolling_step(scenario, t, {scenario.evs[r].id: residuals[r] for r in plan_rows})
         keep = active[plan_rows]
         rows = plan_rows[keep]
         committed = np.minimum(plan.amounts[keep, t - plan.window.start], residuals[rows])

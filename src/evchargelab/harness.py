@@ -75,7 +75,7 @@ class ExperimentConfig:
     scenario: ScenarioSpec
     algorithms: tuple[str, ...]
     seeds: tuple[int, ...]
-    output_dir: str
+    output_dir: str = "results"
     sca: TrainConfig = field(default_factory=TrainConfig)
     calc: TrainConfig = field(default_factory=TrainConfig)
     aem: AemSettings = field(default_factory=AemSettings)
@@ -128,66 +128,37 @@ class ExperimentResult:
         return not self.failures
 
 
-def example_config() -> str:
-    return "\n".join(
-        [
-            "[scenario]",
-            "horizon_slots = 48",
-            "# base_load_path = base_load.txt   (synthetic profile when omitted)",
-            "base_load_low_kwh = 20.0",
-            "base_load_high_kwh = 45.0",
-            "base_load_peak_slot = 20",
-            "load_cap_kwh = inf",
-            "",
-            "[price]",
-            "k0_per_kwh = 0.1",
-            "k1_per_kwh2 = 0.001",
-            "",
-            "[fleet]",
-            "n_evs = 40",
-            "ev_type = type1",
-            "dwell_min_slots = 4",
-            "dwell_max_slots = 12",
-            "arrival_peak_slot = 18",
-            "arrival_spread_slots = 3.0",
-            "",
-            "[run]",
-            "algorithms = EC,OA,SCA",
-            "seeds = 1,2,3",
-            "output_dir = results",
-            "share_training = true",
-            "",
-            "[sca]",
-            "beta_a = 1e-4",
-            "beta_c = 1e-3",
-            "discount = 0.01",
-            "k_max = 200000",
-            "n_workers = 4",
-            "update_period = 20",
-            "reward = exact-cost",
-            "# critic_warmup = 0        (steps before actor pushes apply)",
-            "# advantage = nstep-return (or: td)",
-            "",
-            "[calc]",
-            "beta_a = 1e-4",
-            "beta_c = 1e-3",
-            "discount = 0.01",
-            "k_max = 200000",
-            "",
-            "[aem]",
-            "levels = 33",
-            "episodes = 300",
-            "learning_rate = 0.1",
-            "discount = 0.5",
-        ]
-    )
-
-
 def _whole(text: str) -> int:
     return int(float(text))
 
 
-# (key, field, cast) of each key that the [sca]/[calc] and [aem] sections may set.
+# (key, field, cast) of each key that an INI section may set. [scenario] and
+# [fleet] set `ScenarioSpec` fields, [price] its `PriceModel`, [run] the
+# `ExperimentConfig` itself, [sca] and [calc] a `TrainConfig`, [aem] the
+# `AemSettings`.
+_SCENARIO_KEYS = (
+    ("horizon_slots", "horizon", int),
+    ("base_load_path", "base_load_path", str),
+    ("base_load_low_kwh", "base_low", float),
+    ("base_load_high_kwh", "base_high", float),
+    ("base_load_peak_slot", "base_peak_slot", int),
+    ("load_cap_kwh", "load_cap", float),
+)
+_PRICE_KEYS = (("k0_per_kwh", "k0", float), ("k1_per_kwh2", "k1", float))
+_FLEET_KEYS = (
+    ("n_evs", "n_evs", int),
+    ("ev_type", "ev_type", str),
+    ("dwell_min_slots", "dwell_min", int),
+    ("dwell_max_slots", "dwell_max", int),
+    ("arrival_peak_slot", "arrival_peak_slot", int),
+    ("arrival_spread_slots", "arrival_spread", float),
+)
+_RUN_KEYS = (
+    ("algorithms", "algorithms", lambda text: tuple(a.strip().upper() for a in text.split(",") if a.strip())),
+    ("seeds", "seeds", lambda text: tuple(int(s) for s in text.split(",") if s.strip())),
+    ("output_dir", "output_dir", str),
+    ("share_training", "share_training", lambda text: text.strip().lower() in ("1", "true", "yes")),
+)
 _TRAIN_KEYS = (
     ("beta_a", "beta_a", float),
     ("beta_c", "beta_c", float),
@@ -207,62 +178,73 @@ _AEM_KEYS = (
     ("learning_rate", "learning_rate", float),
     ("discount", "discount", float),
 )
+_SECTIONS = {"scenario": _SCENARIO_KEYS, "price": _PRICE_KEYS, "fleet": _FLEET_KEYS, "run": _RUN_KEYS,
+             "sca": _TRAIN_KEYS, "calc": _TRAIN_KEYS, "aem": _AEM_KEYS}
+
+
+def example_config() -> str:
+    """A config that sets every key at its default, with example [run] values."""
+    spec = ScenarioSpec()
+    defaults = {"scenario": spec, "price": spec.price, "fleet": spec,
+                "sca": TrainConfig(), "calc": TrainConfig(), "aem": AemSettings()}
+    lines = []
+    for name, keys in _SECTIONS.items():
+        lines += ["", f"[{name}]"]
+        if name == "run":
+            lines += ["algorithms = EC,OA,SCA", "seeds = 1,2,3", "output_dir = results", "share_training = true"]
+            continue
+        for key, attr, _ in keys:
+            value = getattr(defaults[name], attr)
+            lines.append(f"# {key} =   (unset by default)" if value is None else f"{key} = {value}")
+    return "\n".join(lines[1:])
+
+
+def _fields(parser, name: str, keys) -> dict:
+    """The fields that section `name` sets, each cast from its key's text."""
+    section = parser[name] if name in parser else {}
+    return {attr: cast(section[key]) for key, attr, cast in keys if key in section}
 
 
 def _section(parser, name: str, defaults, keys):
-    """`defaults` with every key that section `name` sets, cast to its field."""
-    if name not in parser:
-        return defaults
-    section = parser[name]
-    return replace(defaults, **{attr: cast(section[key]) for key, attr, cast in keys if key in section})
+    """`defaults` with every field that section `name` sets."""
+    return replace(defaults, **_fields(parser, name, keys))
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment config file; raises ConfigError on any problem."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"invalid config {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    if parser.defaults():  # configparser would copy these keys into every section
+        raise ConfigError(f"invalid config {path}: unknown section [DEFAULT] (keys: {', '.join(parser.defaults())})")
+    for name in parser.sections():
+        known = {key for key, _, _ in _SECTIONS.get(name, ())}
+        unknown = ", ".join(key for key in parser[name] if key not in known)
+        if name not in _SECTIONS:
+            raise ConfigError(f"invalid config {path}: unknown section [{name}] (keys: {unknown or 'none'})")
+        if unknown:
+            raise ConfigError(f"invalid config {path}: unknown key(s) {unknown} in section [{name}]")
     try:
-        scn = parser["scenario"] if "scenario" in parser else {}
-        price_sec = parser["price"] if "price" in parser else {}
-        fleet = parser["fleet"] if "fleet" in parser else {}
-        run = parser["run"]
-        spec = ScenarioSpec(
-            horizon=int(scn.get("horizon_slots", 48)),
-            base_load_path=scn.get("base_load_path"),
-            base_low=float(scn.get("base_load_low_kwh", 20.0)),
-            base_high=float(scn.get("base_load_high_kwh", 45.0)),
-            base_peak_slot=int(scn.get("base_load_peak_slot", 20)),
-            load_cap=float(scn.get("load_cap_kwh", "inf")),
-            price=PriceModel(
-                k0=float(price_sec.get("k0_per_kwh", 0.1)),
-                k1=float(price_sec.get("k1_per_kwh2", 0.001)),
-            ),
-            n_evs=int(fleet.get("n_evs", 40)),
-            ev_type=fleet.get("ev_type", "type1"),
-            dwell_min=int(fleet.get("dwell_min_slots", 4)),
-            dwell_max=int(fleet.get("dwell_max_slots", 12)),
-            arrival_peak_slot=int(fleet.get("arrival_peak_slot", 18)),
-            arrival_spread=float(fleet.get("arrival_spread_slots", 3.0)),
-        )
-        algorithms = tuple(a.strip().upper() for a in run["algorithms"].split(",") if a.strip())
-        seeds = tuple(int(s) for s in run["seeds"].split(",") if s.strip())
-        cfg = ExperimentConfig(
+        spec = _section(parser, "fleet", _section(parser, "scenario", ScenarioSpec(), _SCENARIO_KEYS), _FLEET_KEYS)
+        spec = replace(spec, price=_section(parser, "price", spec.price, _PRICE_KEYS))
+        run = _fields(parser, "run", _RUN_KEYS)
+        return ExperimentConfig(
             scenario=spec,
-            algorithms=algorithms,
-            seeds=seeds,
-            output_dir=run.get("output_dir", "results"),
+            algorithms=run.pop("algorithms"),
+            seeds=run.pop("seeds"),
             sca=_section(parser, "sca", TrainConfig(), _TRAIN_KEYS),
             calc=_section(parser, "calc", TrainConfig(), _TRAIN_KEYS),
             aem=_section(parser, "aem", AemSettings(), _AEM_KEYS),
-            share_training=run.get("share_training", "true").strip().lower() in ("1", "true", "yes"),
+            **run,
         )
     except (KeyError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config {path}: {exc}") from exc
-    return cfg
 
 
 def build_scenario(spec: ScenarioSpec, seed: int) -> tuple[Scenario, int]:
@@ -336,10 +318,7 @@ def benchmark_train_config(algorithm: str) -> TrainConfig:
             beta_a=1e-3,
             beta_c=1e-2,
             discount=0.95,
-            k_max=200_000,
-            n_workers=4,
             update_period=10,
-            critic_warmup=0,
             seed=1,
         )
     if algorithm == "CALC":
@@ -349,8 +328,6 @@ def benchmark_train_config(algorithm: str) -> TrainConfig:
             beta_a=3e-4,
             beta_c=3e-3,
             discount=0.5,
-            k_max=200_000,
-            n_workers=4,
             critic_warmup=10_000,
             seed=1,
         )
@@ -367,7 +344,6 @@ def benchmark_experiment(output_dir: str = "results", algorithms=ALGORITHMS,
         output_dir=output_dir,
         sca=benchmark_train_config("SCA"),
         calc=benchmark_train_config("CALC"),
-        aem=AemSettings(),
     )
 
 

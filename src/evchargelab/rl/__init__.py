@@ -17,7 +17,6 @@ from .serialize import load_critic, load_policy, save_critic, save_policy
 from .train import (
     ADVANTAGE_MODES,
     ADVANTAGE_RETURN,
-    ADVANTAGE_TD,
     ADVANTAGE_TRACE,
     ParameterStore,
     TrainConfig,

@@ -110,10 +110,7 @@ def log_policy_density(params: PolicyParams, state: np.ndarray, action: np.ndarr
 
 def log_policy_gradient(params: PolicyParams, state: np.ndarray, action: np.ndarray) -> PolicyParams:
     """Exact gradient of ln pi(action | state) with respect to all parameters."""
-    z = state @ params.w_hidden + params.b_hidden
-    h = np.maximum(z, 0.0)
-    mu = h @ params.w_mu + params.b_mu
-    log_sigma = np.clip(params.log_sigma, LOG_SIGMA_MIN, LOG_SIGMA_MAX)
+    h, mu, log_sigma = policy_forward(params, state)
     sigma2 = np.exp(2.0 * log_sigma)
     d_mu = (action - mu) / sigma2
     d_log_sigma = (action - mu) ** 2 / sigma2 - 1.0
@@ -122,7 +119,7 @@ def log_policy_gradient(params: PolicyParams, state: np.ndarray, action: np.ndar
         (params.log_sigma > LOG_SIGMA_MIN) & (params.log_sigma < LOG_SIGMA_MAX), d_log_sigma, 0.0
     )
     d_h = params.w_mu @ d_mu
-    d_z = d_h * (z > 0)
+    d_z = d_h * (h > 0)
     return PolicyParams(
         w_hidden=np.outer(state, d_z),
         b_hidden=d_z,
@@ -132,20 +129,22 @@ def log_policy_gradient(params: PolicyParams, state: np.ndarray, action: np.ndar
     )
 
 
-def critic_value(params: CriticParams, state: np.ndarray, action: np.ndarray) -> float:
-    """Scalar Q on the concatenated (state, action) input."""
+def _critic_forward(params: CriticParams, state: np.ndarray, action: np.ndarray):
+    """Return (concatenated input, hidden features, Q)."""
     x = np.concatenate([np.atleast_1d(state), np.atleast_1d(action)])
     h = np.maximum(x @ params.w_hidden + params.b_hidden, 0.0)
-    return float(h @ params.w_value + params.b_value)
+    return x, h, float(h @ params.w_value + params.b_value)
+
+
+def critic_value(params: CriticParams, state: np.ndarray, action: np.ndarray) -> float:
+    """Scalar Q on the concatenated (state, action) input."""
+    return _critic_forward(params, state, action)[2]
 
 
 def critic_gradient(params: CriticParams, state: np.ndarray, action: np.ndarray):
     """Return (Q, gradient of Q w.r.t. all critic parameters)."""
-    x = np.concatenate([np.atleast_1d(state), np.atleast_1d(action)])
-    z = x @ params.w_hidden + params.b_hidden
-    h = np.maximum(z, 0.0)
-    q = float(h @ params.w_value + params.b_value)
-    d_z = params.w_value * (z > 0)
+    x, h, q = _critic_forward(params, state, action)
+    d_z = params.w_value * (h > 0)
     grads = CriticParams(
         w_hidden=np.outer(x, d_z),
         b_hidden=d_z,

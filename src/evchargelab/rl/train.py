@@ -23,6 +23,8 @@ from ..model import ChargingSchedule, Scenario
 from ..solvers import project_allocation
 from .env import REWARD_EXACT, REWARD_MODES, AggregateEnv, ChargingEnv
 from .nets import (
+    CRITIC_HIDDEN,
+    POLICY_HIDDEN,
     CriticParams,
     PolicyParams,
     critic_gradient,
@@ -45,15 +47,13 @@ logger = logging.getLogger(__name__)
 #     rewards around it beat the critic's estimate; empirically the robust
 #     choice for high-dimensional per-EV policies, whose joint action the
 #     critic cannot resolve.
-#   td: the one-step TD error itself.
 # Every mode takes the score at the unclipped Gaussian draw: the env acts on
 # the draw clipped into its corridor, so the draw is the sample the
 # likelihood-ratio estimate needs; the score of the clipped action is biased
 # wherever the clip binds.
 ADVANTAGE_RETURN = "nstep-return"
 ADVANTAGE_TRACE = "reward-trace"
-ADVANTAGE_TD = "td"
-ADVANTAGE_MODES = (ADVANTAGE_RETURN, ADVANTAGE_TRACE, ADVANTAGE_TD)
+ADVANTAGE_MODES = (ADVANTAGE_RETURN, ADVANTAGE_TRACE)
 
 _MOVING_WINDOW = 25  # episodes per moving-average window
 _DIVERGENCE_FACTOR = 10.0
@@ -77,8 +77,8 @@ class TrainConfig:
     grad_clip: float = 10.0  # max L2 norm of any per-step gradient contribution
     critic_warmup: int = 0  # global steps during which only the critic is updated
     advantage: str = ADVANTAGE_RETURN  # weighting of the pushed policy gradient
-    policy_hidden: int = 200
-    critic_hidden: int = 100
+    policy_hidden: int = POLICY_HIDDEN
+    critic_hidden: int = CRITIC_HIDDEN
 
     def __post_init__(self):
         if self.beta_a <= 0 or self.beta_c <= 0:
@@ -243,10 +243,7 @@ def _worker(worker_id: int, cfg: TrainConfig, env_factory):
             # gradients are only generated here and applied at the push, which
             # keeps the policy signal at the (return - Q) accumulation.
             critic_update(critic, delta_clipped, grad_q, cfg.beta_c)
-            if cfg.advantage == ADVANTAGE_TD:
-                d_policy.add_scaled(score, delta_clipped)
-                d_critic.add_scaled(grad_q, -delta_clipped)
-            elif cfg.advantage == ADVANTAGE_TRACE:
+            if cfg.advantage == ADVANTAGE_TRACE:
                 running_trace = accumulate_return(transition.reward, running_trace, cfg.discount)
                 adv = _clipped(running_trace - q_cur, cfg.grad_clip)
                 d_policy.add_scaled(score, adv)
@@ -455,9 +452,6 @@ def calc_aggregate_series(policy: PolicyParams, scenario: Scenario, reward_mode:
     return series
 
 
-def calc_schedule(policy: PolicyParams, scenario: Scenario, tol: float = 1e-6,
-                  reward_mode: str = REWARD_EXACT) -> ChargingSchedule:
+def calc_schedule(policy: PolicyParams, scenario: Scenario, reward_mode: str = REWARD_EXACT) -> ChargingSchedule:
     """Two-stage schedule: the policy's per-slot targets, projected onto feasible schedules."""
-    series = calc_aggregate_series(policy, scenario, reward_mode)
-    result = project_allocation(series, scenario, tol=tol)
-    return result.schedule
+    return project_allocation(calc_aggregate_series(policy, scenario, reward_mode), scenario).schedule

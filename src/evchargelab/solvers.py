@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChargingSchedule, Scenario, bill
+from .model import DEFAULT_TOL, ChargingSchedule, Scenario, bill
 from .projections import _row_shifts, project_cols_capped_simplex, project_rows_capped_simplex
 
-DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 50000
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-12  # dual residual, relative to the largest slot room
@@ -58,17 +57,16 @@ class RollingStepResult:
 @dataclass(frozen=True)
 class ProjectionResult:
     schedule: ChargingSchedule
-    surrogate: ChargingSchedule  # column sums equal the clipped aggregate target
-    distance: float  # squared-norm gap between the two
+    distance: float  # squared-norm gap to the nearest schedule whose column sums equal the clipped target
     clipped_target: np.ndarray
     clip_magnitude: float  # total kWh removed from the raw target
     iterations: int  # descent rounds; 0 when a max-flow met the target exactly
 
 
-def _check_per_ev_feasibility(ids, upper, demands, tol: float):
+def _check_per_ev_feasibility(ids, upper, demands):
     """Raise InfeasibleScenarioError for the first EV whose demand its window cannot deliver."""
     deliverable = upper.sum(axis=1)
-    over = np.flatnonzero(demands > deliverable + tol)
+    over = np.flatnonzero(demands > deliverable + DEFAULT_TOL)
     if over.size:
         i = over[0]
         raise InfeasibleScenarioError(f"EV {ids[i]}: demand {demands[i]} exceeds deliverable {float(deliverable[i])}")
@@ -146,7 +144,7 @@ def _max_flow(supply, upper, room):
     return flow, side[1 : n + 1], side[n + 1 : sink], flows
 
 
-def _check_cap_feasibility(ids, upper, demands, window: range, scenario: Scenario, tol: float):
+def _check_cap_feasibility(ids, upper, demands, window: range, scenario: Scenario):
     """Raise InfeasibleScenarioError, with a minimum cut, unless the load cap admits every demand.
 
     Row i of `upper` and `demands` belongs to the EV with id ids[i], and
@@ -154,7 +152,7 @@ def _check_cap_feasibility(ids, upper, demands, window: range, scenario: Scenari
     """
     caps = scenario.load_cap - scenario.base_load[window.start - 1 : window.stop - 1]
     flow, evs, slots, _ = _max_flow(demands, upper, caps)
-    if flow >= demands.sum() - tol:
+    if flow >= demands.sum() - DEFAULT_TOL:
         return
     need = float(demands[evs].sum())
     through = float(upper[evs][:, ~slots].sum() + caps[slots].sum())
@@ -167,7 +165,7 @@ def _check_cap_feasibility(ids, upper, demands, window: range, scenario: Scenari
     )
 
 
-def _feasible_projector(mask, b_max, demands, caps, tol: float):
+def _feasible_projector(mask, b_max, demands, caps):
     """Euclidean projection onto {row sums = demands, 0 <= x <= b_max in window, column sums <= caps}.
 
     Without a binding cap this is the row-wise capped-simplex projection.
@@ -236,7 +234,7 @@ def _feasible_projector(mask, b_max, demands, caps, tol: float):
             else:
                 break
             mu, X, grad, value, residual = trial, X_t, grad_t, value_t, residual_t
-        if np.any(X.sum(axis=0) > caps + tol):
+        if np.any(X.sum(axis=0) > caps + DEFAULT_TOL):
             raise ConvergenceError(
                 f"capped projection stalled: column excess {np.max(X.sum(axis=0) - caps):.3g} kWh"
             )
@@ -245,7 +243,7 @@ def _feasible_projector(mask, b_max, demands, caps, tol: float):
     return project
 
 
-def _decompose(ids, upper, demands, window: range, scenario: Scenario, tol: float):
+def _decompose(ids, upper, demands, window: range, scenario: Scenario):
     """Exact least-bill schedule over the slots of `window` with 0 <= X <= upper and row sums =
     demands, and its max-flow count.
 
@@ -264,10 +262,10 @@ def _decompose(ids, upper, demands, window: range, scenario: Scenario, tol: floa
     binds it. With k1 = 0 every feasible schedule costs the same, and one
     max-flow returns one; otherwise identical EVs get identical rows.
     """
-    _check_per_ev_feasibility(ids, upper, demands, tol)
+    _check_per_ev_feasibility(ids, upper, demands)
     pm, base = scenario.price, scenario.base_load[window.start - 1 : window.stop - 1]
     if np.isfinite(scenario.load_cap):
-        _check_cap_feasibility(ids, upper, demands, window, scenario, tol)
+        _check_cap_feasibility(ids, upper, demands, window, scenario)
     if pm.k1 == 0.0:
         return _max_flow(demands, upper, np.minimum(scenario.load_cap - base, upper.sum(axis=0)))[3], 1
     X = np.zeros(upper.shape)
@@ -297,7 +295,7 @@ def _decompose(ids, upper, demands, window: range, scenario: Scenario, tol: floa
     return sums[group] / np.bincount(group)[group, None], flows
 
 
-def solve_offline(scenario: Scenario, tol: float = DEFAULT_TOL) -> QpSolution:
+def solve_offline(scenario: Scenario) -> QpSolution:
     """Minimize total charging cost with full knowledge of the fleet.
 
     The schedule is exact (`_decompose`); `iterations` counts its max-flows
@@ -307,32 +305,32 @@ def solve_offline(scenario: Scenario, tol: float = DEFAULT_TOL) -> QpSolution:
         return QpSolution(ChargingSchedule(np.zeros((0, scenario.horizon))), 0.0, 0, 0.0)
     ids = [ev.id for ev in scenario.evs]
     upper = np.where(scenario.mask, scenario.b_max[:, None], 0.0)
-    B, flows = _decompose(ids, upper, scenario.demand, range(1, scenario.horizon + 1), scenario, tol)
+    B, flows = _decompose(ids, upper, scenario.demand, range(1, scenario.horizon + 1), scenario)
     return QpSolution(ChargingSchedule(B), bill(B.sum(axis=0), scenario.base_load, scenario.price), flows,
-                      kkt_residual(B, scenario, tol))
+                      kkt_residual(B, scenario))
 
 
-def kkt_residual(B, scenario: Scenario, tol=DEFAULT_TOL) -> float:
+def kkt_residual(B, scenario: Scenario) -> float:
     """Fixed-point residual of the projected-gradient map (0 at a KKT point); refuses an unreachable cap."""
     pm, mask, demands = scenario.price, scenario.mask, scenario.demand
     caps = scenario.load_cap - scenario.base_load
     if np.isfinite(scenario.load_cap):
         _check_cap_feasibility([ev.id for ev in scenario.evs], np.where(mask, scenario.b_max[:, None], 0.0),
-                               demands, range(1, scenario.horizon + 1), scenario, tol)
-    project = _feasible_projector(mask, scenario.b_max, demands, caps, tol)
+                               demands, range(1, scenario.horizon + 1), scenario)
+    project = _feasible_projector(mask, scenario.b_max, demands, caps)
     grad_slot = pm.k0 + 2.0 * pm.k1 * (B.sum(axis=0) + scenario.base_load)
     step = 1.0 / (2.0 * pm.k1 * max(scenario.n_evs, 1)) if pm.k1 > 0 else 1.0
     moved = project(B - step * np.where(mask, grad_slot[None, :], 0.0))
     return float(np.max(np.abs(B - moved), initial=0.0) / step)
 
 
-def solve_rolling_step(scenario: Scenario, t: int, residuals: dict[int, float], tol: float = DEFAULT_TOL) -> RollingStepResult:
+def solve_rolling_step(scenario: Scenario, t: int, residuals: dict[int, float]) -> RollingStepResult:
     """Re-solve the window problem at slot t for the currently parked EVs.
 
     residuals maps parked EV ids to their remaining demand; negative
     residuals are rejected. The window runs from t to the last departure.
     """
-    if any(r < -tol for r in residuals.values()):
+    if any(r < -DEFAULT_TOL for r in residuals.values()):
         raise SolverError("residual demands must be non-negative")
     rows = [row for row, ev in enumerate(scenario.evs) if ev.id in residuals and scenario.mask[row, t - 1]]
     if not rows:
@@ -342,11 +340,11 @@ def solve_rolling_step(scenario: Scenario, t: int, residuals: dict[int, float], 
     upper = np.where(scenario.mask[rows, t - 1 : t_end], scenario.b_max[rows, None], 0.0)
     demands = np.maximum([residuals[i] for i in ids], 0.0)
     window = range(t, t_end + 1)
-    amounts, _ = _decompose(ids, upper, demands, window, scenario, tol)
+    amounts, _ = _decompose(ids, upper, demands, window, scenario)
     return RollingStepResult(ev_ids=ids, window=window, amounts=amounts)
 
 
-def project_allocation(aggregate_target, scenario: Scenario, tol: float = DEFAULT_TOL) -> ProjectionResult:
+def project_allocation(aggregate_target, scenario: Scenario) -> ProjectionResult:
     """Split a per-slot aggregate charging target into a demand-feasible schedule.
 
     The target is first clipped to what the parked fleet and the load cap can
@@ -361,21 +359,21 @@ def project_allocation(aggregate_target, scenario: Scenario, tol: float = DEFAUL
     mask, b_max, demands = scenario.mask, scenario.b_max, scenario.demand
     ids = [ev.id for ev in scenario.evs]
     upper = np.where(mask, b_max[:, None], 0.0)
-    _check_per_ev_feasibility(ids, upper, demands, tol)
+    _check_per_ev_feasibility(ids, upper, demands)
     target = np.asarray(aggregate_target, dtype=float)
     if target.shape != (scenario.horizon,):
         raise SolverError(f"target length {target.shape} does not match horizon {scenario.horizon}")
     caps = scenario.load_cap - scenario.base_load
     if np.isfinite(scenario.load_cap):
-        _check_cap_feasibility(ids, upper, demands, range(1, scenario.horizon + 1), scenario, tol)
+        _check_cap_feasibility(ids, upper, demands, range(1, scenario.horizon + 1), scenario)
     clipped = np.clip(target, 0.0, np.minimum(upper.sum(axis=0), caps))
     clip_magnitude = float(np.sum(np.abs(target - clipped)))
 
-    if abs(clipped.sum() - demands.sum()) <= tol:
+    if abs(clipped.sum() - demands.sum()) <= DEFAULT_TOL:
         flow, _, _, X = _max_flow(demands, upper, clipped)
-        if flow >= demands.sum() - tol:
-            return ProjectionResult(ChargingSchedule(X), ChargingSchedule(X.copy()), 0.0, clipped, clip_magnitude, 0)
-    project = _feasible_projector(mask, b_max, demands, caps, tol)
+        if flow >= demands.sum() - DEFAULT_TOL:
+            return ProjectionResult(ChargingSchedule(X), 0.0, clipped, clip_magnitude, 0)
+    project = _feasible_projector(mask, b_max, demands, caps)
     B = Y = project(project_cols_capped_simplex(np.zeros(upper.shape), upper, clipped))
     t_mom = 1.0
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
@@ -387,8 +385,7 @@ def project_allocation(aggregate_target, scenario: Scenario, tol: float = DEFAUL
         else:
             Y = B_new + ((t_mom - 1.0) / t_next) * step
         B, t_mom = B_new, t_next
-        if np.max(np.abs(step)) < 0.1 * tol:
+        if np.max(np.abs(step)) < 0.1 * DEFAULT_TOL:
             break
-    B_star = project_cols_capped_simplex(B, upper, clipped)
-    return ProjectionResult(ChargingSchedule(B), ChargingSchedule(B_star), float(np.sum((B - B_star) ** 2)),
-                            clipped, clip_magnitude, iterations)
+    distance = float(np.sum((B - project_cols_capped_simplex(B, upper, clipped)) ** 2))
+    return ProjectionResult(ChargingSchedule(B), distance, clipped, clip_magnitude, iterations)

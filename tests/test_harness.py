@@ -1,5 +1,6 @@
 """Experiment runner, report emission, and CLI tests."""
 
+import configparser
 import time
 from dataclasses import replace
 
@@ -85,8 +86,15 @@ class TestConfig:
         assert cfg.algorithms == ("EC", "OA", "SCA")
         assert cfg.seeds == (1, 2, 3)
         assert cfg.scenario.horizon == 48 and cfg.scenario.n_evs == 40
-        assert cfg.sca.beta_a == pytest.approx(1e-4)
-        assert cfg.aem.levels == 33
+        assert cfg.scenario == ScenarioSpec()
+        assert cfg.sca == cfg.calc == TrainConfig()
+        assert cfg.aem == AemSettings()
+        assert cfg.output_dir == "results" and cfg.share_training
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser.read(path)
+        for name, keys in harness._SECTIONS.items():
+            # base_load_path defaults to no file, which no value can say.
+            assert set(parser[name]) == {key for key, _, _ in keys} - {"base_load_path"}, name
 
     def test_load_config_file(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -107,6 +115,20 @@ class TestConfig:
         bad = write_config(tmp_path, "[aem]\nlevels = nine\n")
         with pytest.raises(ConfigError, match="invalid literal"):
             load_config(bad)
+
+    def test_unknown_key_or_section_is_config_error(self, tmp_path):
+        for name, text, words in (
+            ("key", "[fleet]\nn_ev = 3\n", ("n_ev", "[fleet]")),
+            ("section", "[flet]\nn_evs = 3\n", ("[flet]", "n_evs")),
+            ("default", "[DEFAULT]\ndiscount = 0.5\n", ("[DEFAULT]", "discount")),
+            ("duplicate", "[scenario]\nhorizon_slots = 12\n", ("scenario",)),
+        ):
+            path = tmp_path / f"{name}.ini"
+            path.write_text(f"[run]\nalgorithms = EC\nseeds = 1\n[scenario]\nhorizon_slots = 24\n{text}")
+            with pytest.raises(ConfigError) as info:
+                load_config(path)
+            assert all(word in str(info.value) for word in words), info.value
+            assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
 
     def test_bad_value_is_config_error(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -160,8 +160,9 @@ class TestTraining:
                 assert np.all(np.isfinite(arr)), mode
 
     def test_unknown_advantage_mode_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(advantage="monte-carlo")
+        for mode in ("monte-carlo", "td"):
+            with pytest.raises(ValueError):
+                TrainConfig(advantage=mode)
 
     def test_negative_critic_warmup_rejected(self):
         with pytest.raises(ValueError):
