@@ -10,6 +10,7 @@ as machine-readable CSV: `metrics.csv` (one row per algorithm x seed),
 from __future__ import annotations
 
 import configparser
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .model import PriceModel, Scenario, horizon_cost, validate_schedule
+from .model import DEFAULT_TOL, PriceModel, Scenario, horizon_cost, validate_schedule
 from .rl import (
     ADVANTAGE_RETURN,
     ADVANTAGE_TRACE,
@@ -118,10 +119,20 @@ class RunFailure:
 
 
 @dataclass
+class TrainingReport:
+    """The policies an experiment trained, and what training them took."""
+
+    policies: dict = field(default_factory=dict)  # (algorithm, training seed) -> (train_ms, TrainResult or None)
+    wall_ms: float = 0.0  # wall time of all training, concurrent or in-process
+    workers: int = 0  # worker processes of the concurrent phase; 0 if none ran
+
+
+@dataclass
 class ExperimentResult:
     metrics: list[RunMetrics]
     failures: list[RunFailure]
     curves: dict[tuple[str, int], object]  # (algorithm, seed) -> TrainResult
+    training: TrainingReport = field(default_factory=TrainingReport)
 
     @property
     def ok(self) -> bool:
@@ -347,49 +358,98 @@ def benchmark_experiment(output_dir: str = "results", algorithms=ALGORITHMS,
     )
 
 
-class _Trainer:
-    """Trains each learning algorithm lazily, at most once per training seed.
+# The learning algorithms, longest training first.
+_TRAINED = ("SCA", "CALC", "AEM")
 
-    With shared training, SCA and CALC train with their own configured
-    seeds. AEM has no seed of its own (AemSettings) and trains with SCA's.
+
+def _train(cfg: ExperimentConfig, algorithm: str, seed: int):
+    """Train one policy; returns (artifact, TrainResult or None, train_ms)."""
+    sampler = make_sampler(cfg.scenario)
+    t0 = time.perf_counter()
+    if algorithm == "SCA":
+        result = train_sca(sampler, replace(cfg.sca, seed=seed))
+        artifact = result.policy
+    elif algorithm == "CALC":
+        result = train_calc_stage1(sampler, replace(cfg.calc, seed=seed))
+        artifact = result.policy
+    elif algorithm == "AEM":
+        qcfg = baselines.QLearnConfig(
+            learning_rate=cfg.aem.learning_rate,
+            discount=cfg.aem.discount,
+            episodes=cfg.aem.episodes,
+            seed=seed,
+        )
+        artifact = baselines.aem_train(sampler, qcfg, cfg.aem.levels)
+        result = None
+    else:
+        raise ValueError(f"{algorithm} needs no training")
+    return artifact, result, (time.perf_counter() - t0) * 1e3
+
+
+class _Trainer:
+    """Trains each learning algorithm at most once per training seed.
+
+    `train_all` trains a set of keys up front, side by side in forked
+    processes, and keeps a training that raised against its key, so every
+    run that needs the policy fails with the same error. `policy` trains any
+    other key lazily, in this process. With shared training, SCA and CALC
+    train with their own configured seeds. AEM has no seed of its own
+    (AemSettings) and trains with SCA's.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.sampler = make_sampler(cfg.scenario)
-        self._cache = {}
-        self.spent_ms = 0.0  # training time of every policy trained so far
+        self._cache = {}  # key -> (artifact, TrainResult or None, train_ms), or the exception raised
+        self.spent_ms = 0.0  # wall time of all training so far
+        self.workers = 0  # worker processes of `train_all`
 
-    def _train_seed(self, algorithm: str, seed: int) -> int:
+    def key(self, algorithm: str, seed: int) -> tuple[str, int]:
         if not self.cfg.share_training:
-            return seed
-        return self.cfg.calc.seed if algorithm == "CALC" else self.cfg.sca.seed
+            return algorithm, seed
+        return algorithm, self.cfg.calc.seed if algorithm == "CALC" else self.cfg.sca.seed
+
+    def train_all(self, keys) -> None:
+        """Train `keys` in a pool of forked processes, one per usable CPU.
+
+        The pool is shut down before this returns. The keys are left to
+        `policy` where the platform cannot fork, where another thread runs
+        (a forked child would inherit the locks it holds), or where the pool
+        cannot start.
+        """
+        import multiprocessing
+        import threading
+
+        if not keys or "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+            return
+        from concurrent.futures import ProcessPoolExecutor
+
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(cpus, len(keys))
+        t0 = time.perf_counter()
+        try:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                futures = {key: pool.submit(_train, self.cfg, *key) for key in keys}
+                for key, future in futures.items():
+                    self._cache[key] = future.exception() or future.result()
+        except OSError:  # no process could be started: train in-process instead
+            return
+        self.spent_ms += (time.perf_counter() - t0) * 1e3
+        self.workers = workers
 
     def policy(self, algorithm: str, seed: int):
-        key = (algorithm, self._train_seed(algorithm, seed))
+        key = self.key(algorithm, seed)
         if key not in self._cache:
-            t0 = time.perf_counter()
-            if algorithm == "SCA":
-                result = train_sca(self.sampler, replace(self.cfg.sca, seed=key[1]))
-                artifact = result.policy
-            elif algorithm == "CALC":
-                result = train_calc_stage1(self.sampler, replace(self.cfg.calc, seed=key[1]))
-                artifact = result.policy
-            elif algorithm == "AEM":
-                qcfg = baselines.QLearnConfig(
-                    learning_rate=self.cfg.aem.learning_rate,
-                    discount=self.cfg.aem.discount,
-                    episodes=self.cfg.aem.episodes,
-                    seed=key[1],
-                )
-                artifact = baselines.aem_train(self.sampler, qcfg, self.cfg.aem.levels)
-                result = None
-            else:
-                raise ValueError(f"{algorithm} needs no training")
-            train_ms = (time.perf_counter() - t0) * 1e3
-            self.spent_ms += train_ms
-            self._cache[key] = (artifact, result, train_ms)
-        return self._cache[key]
+            self._cache[key] = _train(self.cfg, *key)
+            self.spent_ms += self._cache[key][2]
+        outcome = self._cache[key]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def report(self) -> TrainingReport:
+        policies = {key: (outcome[2], outcome[1]) for key, outcome in self._cache.items()
+                    if not isinstance(outcome, Exception)}
+        return TrainingReport(policies, self.spent_ms, self.workers)
 
 
 def _produce_schedule(algorithm: str, scenario: Scenario, trainer: _Trainer, seed: int):
@@ -410,6 +470,8 @@ def _produce_schedule(algorithm: str, scenario: Scenario, trainer: _Trainer, see
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every (algorithm, seed) pair; failures are recorded, not raised."""
     trainer = _Trainer(cfg)
+    trainer.train_all(list(dict.fromkeys(trainer.key(algorithm, seed) for algorithm in _TRAINED
+                                         if algorithm in cfg.algorithms for seed in cfg.seeds)))
     metrics: list[RunMetrics] = []
     failures: list[RunFailure] = []
     curves = {}
@@ -427,7 +489,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     # quantized amounts may miss demand by up to one action quantum
                     quantum_tol = scenario.b_max.max() / (trainer.cfg.aem.levels - 1)
                 else:
-                    quantum_tol = 1e-6
+                    quantum_tol = DEFAULT_TOL
                 gap = report.max_demand_gap()
                 bad = [v for v in report.violations if v.kind != "demand" or v.magnitude > quantum_tol]
                 if bad:
@@ -450,7 +512,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     curves[(algorithm, seed)] = curve
             except Exception as exc:  # per-run isolation, remaining runs proceed
                 failures.append(RunFailure(algorithm, seed, f"{type(exc).__name__}: {exc}"))
-    return ExperimentResult(metrics=metrics, failures=failures, curves=curves)
+    return ExperimentResult(metrics=metrics, failures=failures, curves=curves, training=trainer.report())
 
 
 def _both_trainers(attr: str):
@@ -526,11 +588,16 @@ def _write_summary(result: ExperimentResult, out: Path) -> Path:
                 continue
             ratio = (np.mean([m.total_cost for m in ms]) - sca_cost) / sca_cost
             lines.append(f"  {alg:<6} {ratio:+.2%}")
-    trained = [m for m in result.metrics if m.train_time_ms > 0]
-    if trained:
-        lines += ["", "Training wall time (ms, reported separately from scheduling time):"]
-        for m in trained:
-            lines.append(f"  {m.algorithm} seed={m.seed}: {m.train_time_ms:.0f}")
+    training = result.training
+    if training.policies:
+        lines += ["", "Training (each policy's own wall time in its process, apart from scheduling time):"]
+        for (alg, seed), (train_ms, curve) in training.policies.items():
+            steps = "" if curve is None else (
+                f", {curve.global_steps} steps, {curve.global_steps / curve.wall_seconds:.0f} steps/s")
+            lines.append(f"  {alg} seed={seed}: {train_ms:.0f} ms{steps}")
+        where = f"{training.workers} worker processes" if training.workers else "in-process"
+        lines.append(f"Training phase: {training.wall_ms:.0f} ms wall, {where}, "
+                     f"{sum(ms for ms, _ in training.policies.values()):.0f} ms of training summed")
     if result.failures:
         lines += ["", "Failures:"]
         for f in result.failures:

@@ -1,6 +1,9 @@
 """Experiment runner, report emission, and CLI tests."""
 
 import configparser
+import multiprocessing
+import os
+import threading
 import time
 from dataclasses import replace
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 
 from evchargelab import cli, harness
+from evchargelab.baselines import QLearnConfig, aem_train
 from evchargelab.harness import (
     METRICS_HEADER,
     AemSettings,
@@ -23,7 +27,7 @@ from evchargelab.harness import (
     sweep,
 )
 from evchargelab.model import ChargingSchedule, PriceModel, horizon_cost, validate_schedule
-from evchargelab.rl import TrainConfig
+from evchargelab.rl import TrainConfig, train_calc_stage1, train_sca
 
 
 def small_spec(**kw):
@@ -248,6 +252,84 @@ class TestSharedTraining:
 
         one, seven = calc_policy(1), calc_policy(7)
         assert any(not np.array_equal(a, b) for a, b in zip(one.arrays(), seven.arrays()))
+
+
+class TestConcurrentTraining:
+    KEYS = [("SCA", 1), ("CALC", 1), ("AEM", 1)]
+
+    @staticmethod
+    def cfg():
+        train = replace(fast_cfg().sca, n_workers=2, seed=1)
+        return fast_cfg(algorithms=("EC", "OA", "AEM", "SCA", "CALC"), seeds=(1, 2), sca=train, calc=train)
+
+    def test_artifacts_match_in_process_training(self):
+        cfg = self.cfg()
+        sampler = harness.make_sampler(cfg.scenario)
+        expected = {
+            "SCA": train_sca(sampler, cfg.sca),
+            "CALC": train_calc_stage1(sampler, cfg.calc),
+            "AEM": aem_train(sampler, QLearnConfig(learning_rate=cfg.aem.learning_rate, discount=cfg.aem.discount,
+                                                   episodes=cfg.aem.episodes, seed=1), cfg.aem.levels),
+        }
+        trainer = harness._Trainer(cfg)
+        trainer.train_all(self.KEYS)
+        assert trainer.workers >= 1
+        result = run_experiment(cfg)
+        assert result.ok, result.failures
+        assert not multiprocessing.active_children()
+        for alg in ("SCA", "CALC"):
+            want = expected[alg]
+            for got in (trainer.policy(alg, 1)[1], result.curves[(alg, 2)]):
+                for a, b in zip(got.policy.arrays() + got.critic.arrays(), want.policy.arrays() + want.critic.arrays()):
+                    assert a.tobytes() == b.tobytes()
+                assert got.critic.b_value == want.critic.b_value
+                assert got.interleaving == want.interleaving
+                assert [e.total_reward for e in got.episodes] == [e.total_reward for e in want.episodes]
+        table = trainer.policy("AEM", 1)[0]
+        assert table.values.tobytes() == expected["AEM"].values.tobytes()
+        assert table.visit_counts.tobytes() == expected["AEM"].visit_counts.tobytes()
+
+    def test_failed_training_fails_each_run_that_needs_it(self):
+        cfg = self.cfg()
+        cfg = replace(cfg, sca=replace(cfg.sca, reward_mode="flat-regret"))  # the per-EV env refuses it
+        with pytest.raises(ValueError) as info:
+            train_sca(harness.make_sampler(cfg.scenario), cfg.sca)
+        result = run_experiment(cfg)
+        assert not multiprocessing.active_children()
+        assert [(f.algorithm, f.seed) for f in result.failures] == [("SCA", 1), ("SCA", 2)]
+        assert {f.error for f in result.failures} == {f"ValueError: {info.value}"}
+        assert sorted((m.algorithm, m.seed) for m in result.metrics) == sorted(
+            (alg, seed) for alg in ("EC", "OA", "AEM", "CALC") for seed in (1, 2))
+        assert set(result.training.policies) == {("CALC", 1), ("AEM", 1)}
+
+    def test_without_fork_or_with_threads_training_stays_in_process(self, monkeypatch):
+        cfg = self.cfg()
+        pooled = run_experiment(cfg)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            threaded = run_experiment(cfg)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        unforked = run_experiment(cfg)
+        assert pooled.training.workers == min(len(os.sched_getaffinity(0)), 3)
+        for alone in (threaded, unforked):
+            assert alone.training.workers == 0
+            assert [m.csv_row().split(",")[:4] for m in alone.metrics] == [m.csv_row().split(",")[:4] for m in pooled.metrics]
+
+    def test_summary_reports_each_training_and_the_phase(self, tmp_path):
+        result = run_experiment(self.cfg())
+        emit_report(result, tmp_path)
+        summary = (tmp_path / "summary.txt").read_text()
+        for alg in ("SCA", "CALC"):
+            steps = result.training.policies[(alg, 1)][1].global_steps
+            assert f"  {alg} seed=1: " in summary and f" ms, {steps} steps, " in summary
+        assert "  AEM seed=1: " in summary
+        assert f"Training phase: {result.training.wall_ms:.0f} ms wall, {result.training.workers} worker processes" in summary
 
 
 class TestSweep:
