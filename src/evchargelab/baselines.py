@@ -215,19 +215,19 @@ class QLearnConfig:
         return self.epsilon_start + frac * (self.epsilon_end - self.epsilon_start)
 
 
-def _allocate_aggregate(rows, residuals, scenario: Scenario, t: int, budget: float) -> np.ndarray:
-    """Split an aggregate budget over the parked `rows` in slot t.
+def _allocate_aggregate(rows, corridor, t_dep, n_evs: int, budget: float) -> np.ndarray:
+    """Split an aggregate budget over the parked `rows` in one slot.
 
-    Every EV first gets its laxity minimum; what is left of the budget then
-    fills EVs up to their headroom, earliest departure first.
+    `corridor` is the rows' `laxity_corridor` in the slot and `t_dep` their
+    departures. Every EV first gets its laxity minimum; what is left of the
+    budget then fills EVs up to their headroom, earliest departure first.
     """
-    amounts = np.zeros(residuals.size)
-    t_dep = scenario.t_dep[rows]
-    forced, cap = laxity_corridor(residuals[rows], scenario.b_max[rows], t_dep - t)
-    forced = np.minimum(forced, cap)
-    order = np.argsort(t_dep, kind="stable")
+    lo, cap = corridor
+    forced = np.minimum(lo, cap)
+    order = t_dep.argsort(kind="stable")
     room = (cap - forced)[order]
-    extra = np.clip(budget - forced.sum() - (np.cumsum(room) - room), 0.0, room)
+    extra = (budget - forced.sum() - (room.cumsum() - room)).clip(0.0, room)
+    amounts = np.zeros(n_evs)
     amounts[rows] = forced
     amounts[rows[order]] += extra
     return amounts
@@ -253,7 +253,9 @@ def _aem_rollout(table: QTable, scenario: Scenario, pick_action, transitions: li
             continue
         action = pick_action(state)
         rows = np.flatnonzero(parked)
-        amounts = _allocate_aggregate(rows, residuals, scenario, t, action * table.quantum * rows.size)
+        t_dep = scenario.t_dep[rows]
+        corridor = laxity_corridor(residuals[rows], scenario.b_max[rows], t_dep - t)
+        amounts = _allocate_aggregate(rows, corridor, t_dep, scenario.n_evs, action * table.quantum * rows.size)
         B[:, t - 1] = amounts
         residuals -= amounts
         if transitions is None:

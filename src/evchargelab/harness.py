@@ -593,7 +593,8 @@ def _write_summary(result: ExperimentResult, out: Path) -> Path:
         lines += ["", "Training (each policy's own wall time in its process, apart from scheduling time):"]
         for (alg, seed), (train_ms, curve) in training.policies.items():
             steps = "" if curve is None else (
-                f", {curve.global_steps} steps, {curve.global_steps / curve.wall_seconds:.0f} steps/s")
+                f", {curve.global_steps} steps, {curve.global_steps / curve.wall_seconds:.0f} steps/s, "
+                f"gradients clipped: {curve.policy_clips} policy, {curve.critic_clips} critic")
             lines.append(f"  {alg} seed={seed}: {train_ms:.0f} ms{steps}")
         where = f"{training.workers} worker processes" if training.workers else "in-process"
         lines.append(f"Training phase: {training.wall_ms:.0f} ms wall, {where}, "

@@ -152,7 +152,8 @@ def bill(S, l_b, pm: PriceModel) -> float:
 
     S and l_b may be per-slot arrays; the bill is then summed over slots.
     """
-    return float(np.sum(pm.k0 * S + pm.k1 * S * S + 2.0 * pm.k1 * l_b * S))
+    cost = pm.k0 * S + pm.k1 * S * S + 2.0 * pm.k1 * l_b * S
+    return float(cost.sum() if isinstance(cost, np.ndarray) else cost)
 
 
 def laxity_corridor(residuals, b_max, slots_after):
@@ -168,7 +169,7 @@ def laxity_corridor(residuals, b_max, slots_after):
 def slot_cost(b_vec, l_b: float, pm: PriceModel) -> float:
     """Electricity bill of one slot in which the EVs charge b_vec (`bill` of their sum)."""
     b = np.asarray(b_vec, dtype=float)
-    if np.any(b < 0):
+    if (b < 0).any():
         raise ModelError("charging amounts must be non-negative")
     return bill(float(b.sum()), l_b, pm)
 
@@ -183,15 +184,6 @@ def horizon_cost(schedule: ChargingSchedule, scenario: Scenario) -> float:
     return bill(schedule.slot_totals(), scenario.base_load, scenario.price)
 
 
-def _flat_bill(residuals: np.ndarray, slots_left: np.ndarray, first: int, t: int, scenario: Scenario) -> float:
-    """Bill of slots t + first .. T when each EV draws residual / slots_left up to its departure."""
-    width = scenario.horizon - t + 1
-    rates = np.bincount(first + slots_left - 1, weights=residuals / slots_left, minlength=width)
-    load = rates[::-1].cumsum()[::-1][first:]
-    pm = scenario.price
-    return float((load * (pm.k0 + pm.k1 * load + 2.0 * pm.k1 * scenario.base_load[t - 1 + first :])).sum())
-
-
 def flat_completion_change(before: np.ndarray, after: np.ndarray, t_dep: np.ndarray, t: int,
                            scenario: Scenario) -> float:
     """Change across slot t in the bill of finishing the given EVs at flat rates.
@@ -202,9 +194,21 @@ def flat_completion_change(before: np.ndarray, after: np.ndarray, t_dep: np.ndar
     own bill plus this change is the extra bill the slot's charging causes
     over finishing at flat rates.
     """
-    later = t_dep > t
-    finish_after = _flat_bill(after[later], t_dep[later] - t, 1, t, scenario)
-    return finish_after - _flat_bill(before, t_dep - t + 1, 0, t, scenario)
+    # Row 0 holds the flat loads of slots t..T before the slot, row 1 those
+    # after it; row 1 bills slots t+1..T only. Each slot's bill is
+    # load * (k0 + k1 * load + 2 * k1 * base load).
+    width = scenario.horizon - t + 1
+    slots_after = t_dep - t
+    later = slots_after > 0
+    rates = np.bincount(
+        np.concatenate((slots_after, slots_after[later] + width)),
+        weights=np.concatenate((before / (slots_after + 1), after[later] / slots_after[later])),
+        minlength=2 * width,
+    ).reshape(2, width)
+    load = rates[:, ::-1].cumsum(axis=1)[:, ::-1]
+    pm = scenario.price
+    cost = load * (pm.k0 + pm.k1 * load + 2.0 * pm.k1 * scenario.base_load[t - 1 :])
+    return float(cost[1, 1:].sum()) - float(cost[0].sum())
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..baselines import _allocate_aggregate
-from ..model import Scenario, flat_completion_change, laxity_corridor, slot_cost
+from ..model import Scenario, bill, flat_completion_change, laxity_corridor
 
 REWARD_EXACT = "exact-cost"
 # Minus the extra bill a step causes over finishing the parked EVs at their
@@ -102,31 +102,34 @@ class ChargingEnv:
         return (self.scenario.price.k0 + 2.0 * self.scenario.price.k1 * (lb + self._last_ev_load)) / self.price_scale
 
     def _observe(self) -> RlState:
+        """State of slot t; also caches the slot's corridor, which `bounds` returns."""
         sc = self.scenario
+        parked = sc.mask[:, min(self.t, sc.horizon) - 1]
+        lo, hi = laxity_corridor(self.residuals, sc.b_max, sc.t_dep - self.t)
+        live = parked & (self.residuals > 0) & (self.t <= sc.horizon)
+        self._bounds = np.where(live, np.minimum(lo, hi), 0.0), np.where(live, hi, 0.0)
         soc = np.minimum(sc.soc_init + self.charged / sc.capacity, 1.0)
-        return RlState(soc=np.where(sc.mask[:, min(self.t, sc.horizon) - 1], soc, 0.0), price=self._price())
+        return RlState(soc=np.where(parked, soc, 0.0), price=self._price())
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Feasibility corridor [lo, hi] for each EV in the current slot."""
-        sc = self.scenario
-        lo, hi = laxity_corridor(self.residuals, sc.b_max, sc.t_dep - self.t)
-        live = (sc.t_arr <= self.t) & (self.t <= sc.t_dep) & (self.residuals > 0)
-        return np.where(live, np.minimum(lo, hi), 0.0), np.where(live, hi, 0.0)
+        return self._bounds
 
     def step(self, action: np.ndarray) -> EnvTransition:
         if self.done:
             raise RuntimeError("episode finished; call reset()")
-        lo, hi = self.bounds()
-        amounts = np.clip(np.asarray(action, dtype=float), lo, hi)
-        lb = self.scenario.base_load[self.t - 1]
-        reward = -slot_cost(amounts, lb, self.scenario.price)
+        lo, hi = self._bounds
+        # The corridor's floor is non-negative, so the clipped amounts are too.
+        amounts = np.asarray(action, dtype=float).clip(lo, hi)
+        ev_load = float(amounts.sum())
+        reward = -bill(ev_load, self.scenario.base_load[self.t - 1], self.scenario.price)
         self.residuals -= amounts
         self.charged += amounts
-        self._last_ev_load = float(amounts.sum())
+        self._last_ev_load = ev_load
         prev_state = self.state
         self.t += 1
         self.done = self.t > self.scenario.horizon or (
-            self.residuals.size > 0 and bool(np.all(self.residuals <= 1e-9))
+            self.residuals.size > 0 and bool((self.residuals <= 1e-9).all())
         )
         self.state = self._observe()
         transition = EnvTransition(prev_state, amounts, reward, self.state, self.done)
@@ -158,18 +161,21 @@ class AggregateEnv:
         return self.state
 
     def _observe(self) -> ReducedState:
-        """Reduced state of slot t; also caches the slot's parked rows and corridor (kWh)."""
+        """Reduced state of slot t; also caches the slot's parked rows, their
+        departures and corridor, and the corridor's sums (kWh)."""
         sc = self.scenario
         t = min(self.t, sc.horizon)
-        rows = np.flatnonzero(sc.mask[:, t - 1] & (self.residuals > 1e-9))
+        rows = (sc.mask[:, t - 1] & (self.residuals > 1e-9)).nonzero()[0]
         residuals = self.residuals[rows]
-        slots_left = sc.t_dep[rows] - t + 1
-        lo, hi = laxity_corridor(residuals, sc.b_max[rows], slots_left - 1)
+        t_dep = sc.t_dep[rows]
+        slots_after = t_dep - t
+        lo, hi = self._corridor = laxity_corridor(residuals, sc.b_max[rows], slots_after)
         self._rows = rows
+        self._t_dep = t_dep
         self._hi = float(hi.sum())
         self._lo = min(float(lo.sum()), self._hi)
         return ReducedState(
-            soc_ev=float((residuals / slots_left).sum()) / self.action_scale,
+            soc_ev=float((residuals / (slots_after + 1)).sum()) / self.action_scale,
             l_b=self.scenario.base_load[t - 1] / self.lb_scale,
         )
 
@@ -182,20 +188,17 @@ class AggregateEnv:
             raise RuntimeError("episode finished; call reset()")
         budget = min(max(self.action_scale * float(np.asarray(action, dtype=float).reshape(())), self._lo), self._hi)
         rows = self._rows
-        amounts = _allocate_aggregate(rows, self.residuals, self.scenario, self.t, budget)
-        lb = self.scenario.base_load[self.t - 1]
-        reward = -slot_cost(amounts, lb, self.scenario.price)
+        amounts = _allocate_aggregate(rows, self._corridor, self._t_dep, self.residuals.size, budget)
+        committed = float(amounts.sum())
+        reward = -bill(committed, self.scenario.base_load[self.t - 1], self.scenario.price)
         self.residuals -= amounts
         if self.reward_mode == REWARD_REGRET:
-            reward -= flat_completion_change(
-                self.residuals[rows] + amounts[rows], self.residuals[rows], self.scenario.t_dep[rows], self.t,
-                self.scenario,
-            )
+            after = self.residuals[rows]
+            reward -= flat_completion_change(after + amounts[rows], after, self._t_dep, self.t, self.scenario)
         prev_state = self.state
-        committed = float(amounts.sum())
         self.t += 1
         self.done = self.t > self.scenario.horizon or (
-            self.residuals.size > 0 and bool(np.all(self.residuals <= 1e-9))
+            self.residuals.size > 0 and bool((self.residuals <= 1e-9).all())
         )
         self.state = self._observe()
         return EnvTransition(prev_state, np.array([committed]), reward, self.state, self.done)

@@ -57,8 +57,7 @@ def _read(path, kind: str):
 
 
 def save_policy(params: PolicyParams, path, seed: int = 0, cfg_hash: str = "-"):
-    arrays = params.arrays()
-    _write(path, "policy", [a.shape for a in arrays], np.concatenate([a.ravel() for a in arrays]), seed, cfg_hash)
+    _write(path, "policy", [a.shape for a in params.arrays()], params.flat, seed, cfg_hash)
 
 
 def load_policy(path) -> PolicyParams:
@@ -67,10 +66,7 @@ def load_policy(path) -> PolicyParams:
 
 
 def save_critic(params: CriticParams, path, seed: int = 0, cfg_hash: str = "-"):
-    arrays = list(params.arrays())
-    shapes = [a.shape for a in arrays] + [()]
-    flat = np.concatenate([a.ravel() for a in arrays] + [np.array([params.b_value])])
-    _write(path, "critic", shapes, flat, seed, cfg_hash)
+    _write(path, "critic", [a.shape for a in params.arrays()] + [()], params.flat, seed, cfg_hash)
 
 
 def load_critic(path) -> CriticParams:

@@ -12,6 +12,7 @@ description of a run.
 from __future__ import annotations
 
 import logging
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -74,7 +75,7 @@ class TrainConfig:
     update_period: int = 20
     seed: int = 0
     reward_mode: str = REWARD_EXACT
-    grad_clip: float = 10.0  # max L2 norm of any per-step gradient contribution
+    grad_clip: float = 10.0  # max L2 norm of any per-step gradient contribution; inf: no clipping
     critic_warmup: int = 0  # global steps during which only the critic is updated
     advantage: str = ADVANTAGE_RETURN  # weighting of the pushed policy gradient
     policy_hidden: int = POLICY_HIDDEN
@@ -87,6 +88,8 @@ class TrainConfig:
             raise ValueError(f"discount {self.discount} outside (0, 1)")
         if self.n_workers < 1 or self.update_period < 1 or self.k_max < 1:
             raise ValueError("n_workers, update_period, k_max must be positive")
+        if not self.grad_clip > 0:
+            raise ValueError(f"grad_clip {self.grad_clip} must be positive (inf: no clipping)")
         if self.critic_warmup < 0:
             raise ValueError("critic_warmup must be non-negative")
         if self.reward_mode not in REWARD_MODES:
@@ -107,7 +110,7 @@ def accumulate_return(r: float, running: float, discount: float) -> float:
 
 def critic_update(params: CriticParams, delta: float, grad_q: CriticParams, beta_c: float) -> CriticParams:
     """In-place step params += beta_c * delta * grad Q; skipped if non-finite."""
-    if not np.isfinite(delta):
+    if not math.isfinite(delta):
         warnings.warn("non-finite TD error; critic step skipped")
         return params
     params.add_scaled(grad_q, beta_c * delta)
@@ -119,23 +122,15 @@ def _clipped(x: float, bound: float) -> float:
     return float(min(max(x, -bound), bound))
 
 
-def _clip_norm(grads, max_norm: float):
-    """Scale a gradient container down to max_norm (L2) in place."""
-    if not max_norm or not np.isfinite(max_norm):
-        return grads
-    arrays = list(grads.arrays())
-    if isinstance(grads, CriticParams):
-        total = sum(float((a * a).sum()) for a in arrays) + grads.b_value**2
-    else:
-        total = sum(float((a * a).sum()) for a in arrays)
-    norm = np.sqrt(total)
+def _clip_norm(grads, max_norm: float) -> bool:
+    """Scale a gradient container down to max_norm (L2) in place; True if it was scaled."""
+    if not math.isfinite(max_norm):
+        return False
+    norm = math.sqrt(sum(grads.sums_of_squares()))
     if norm > max_norm:
-        scale = max_norm / norm
-        for a in arrays:
-            a *= scale
-        if isinstance(grads, CriticParams):
-            grads.b_value *= scale
-    return grads
+        grads.flat *= max_norm / norm
+        return True
+    return False
 
 
 class ParameterStore:
@@ -184,6 +179,8 @@ class TrainResult:
     interleaving: list[tuple[str, int]]
     global_steps: int
     wall_seconds: float
+    policy_clips: int  # per-step policy scores scaled down to grad_clip
+    critic_clips: int  # per-step critic gradients scaled down to grad_clip
 
     def moving_rewards(self) -> np.ndarray:
         return np.array([e.moving_reward for e in self.episodes])
@@ -195,8 +192,11 @@ class TrainResult:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _worker(worker_id: int, cfg: TrainConfig, env_factory):
-    """Coroutine: yields ("sync",), ("push", d_policy, d_critic, steps), ("episode", record)."""
+def _worker(worker_id: int, cfg: TrainConfig, env_factory, clips: list[int]):
+    """Coroutine: yields ("sync",), ("push", d_policy, d_critic, steps), ("episode", record).
+
+    Counts the policy and critic gradients it clips in `clips[0]` and `clips[1]`.
+    """
     rng = np.random.default_rng([cfg.seed, worker_id])
     episode_index = 0
 
@@ -210,8 +210,14 @@ def _worker(worker_id: int, cfg: TrainConfig, env_factory):
     state_vec = env.state.vector()
     lo, hi = env.bounds()
     policy, critic, k = yield ("sync",)
-    draw = policy_draw(policy, state_vec, rng)
-    action = np.clip(draw, lo, hi)
+    forward = policy_forward(policy, state_vec)
+    draw = policy_draw(policy, state_vec, rng, forward)
+    action = draw.clip(lo, hi)
+    # Gradient storage: one slot per step of a push window where the window
+    # is walked backward at the push, else one slot that each step reuses.
+    slots = cfg.update_period if cfg.advantage == ADVANTAGE_RETURN else 1
+    scores = [policy.zeros_like() for _ in range(slots)]
+    grads_q = [critic.zeros_like() for _ in range(slots)]
     running_trace = 0.0
     episode_reward = 0.0
     episode_steps = 0
@@ -221,7 +227,7 @@ def _worker(worker_id: int, cfg: TrainConfig, env_factory):
         d_policy = policy.zeros_like()
         d_critic = critic.zeros_like()
         window = []
-        for _ in range(cfg.update_period):
+        for i in range(cfg.update_period):
             transition = env.step(action)
             episode_reward += transition.reward
             episode_steps += 1
@@ -231,13 +237,15 @@ def _worker(worker_id: int, cfg: TrainConfig, env_factory):
                 q_next = 0.0
             else:
                 lo, hi = env.bounds()
-                next_draw = policy_draw(policy, next_vec, rng)
-                next_action = np.clip(next_draw, lo, hi)
+                next_forward = policy_forward(policy, next_vec)
+                next_draw = policy_draw(policy, next_vec, rng, next_forward)
+                next_action = next_draw.clip(lo, hi)
                 q_next = critic_value(critic, next_vec, next_action)
-            q_cur, grad_q = critic_gradient(critic, state_vec, action)
+            q_cur, grad_q = critic_gradient(critic, state_vec, action, out=grads_q[i % slots])
             delta = td_error(transition.reward, q_next, q_cur, cfg.discount)
-            score = _clip_norm(log_policy_gradient(policy, state_vec, draw), cfg.grad_clip)
-            _clip_norm(grad_q, cfg.grad_clip)
+            score = log_policy_gradient(policy, state_vec, draw, forward, out=scores[i % slots])
+            clips[0] += _clip_norm(score, cfg.grad_clip)
+            clips[1] += _clip_norm(grad_q, cfg.grad_clip)
             delta_clipped = _clipped(delta, cfg.grad_clip)
             # The critic refines locally from the TD error every step; actor
             # gradients are only generated here and applied at the push, which
@@ -260,10 +268,11 @@ def _worker(worker_id: int, cfg: TrainConfig, env_factory):
                 episode_t0 = time.perf_counter()
                 state_vec = env.state.vector()
                 lo, hi = env.bounds()
-                draw = policy_draw(policy, state_vec, rng)
-                action = np.clip(draw, lo, hi)
+                forward = policy_forward(policy, state_vec)
+                draw = policy_draw(policy, state_vec, rng, forward)
+                action = draw.clip(lo, hi)
             else:
-                state_vec, action, draw = next_vec, next_action, next_draw
+                state_vec, action, draw, forward = next_vec, next_action, next_draw, next_forward
         # Multi-step returns over the window: walk backward, bootstrapping the
         # tail from the critic and restarting at episode boundaries.
         running = 0.0
@@ -274,7 +283,7 @@ def _worker(worker_id: int, cfg: TrainConfig, env_factory):
                 running = q_next
             running = accumulate_return(reward, running, cfg.discount)
             advantage = running - q_cur
-            if np.isfinite(advantage):
+            if math.isfinite(advantage):
                 adv = _clipped(advantage, cfg.grad_clip)
                 d_policy.add_scaled(score, adv)
                 d_critic.add_scaled(grad_q, -2.0 * adv)
@@ -282,6 +291,8 @@ def _worker(worker_id: int, cfg: TrainConfig, env_factory):
         if k > cfg.k_max:
             return
         policy, critic, _ = yield ("sync",)
+        # The draw carried into the next window is scored under the synced policy.
+        forward = policy_forward(policy, state_vec)
 
 
 def _run_training(env_factory, state_dim: int, action_dim: int, cfg: TrainConfig,
@@ -296,8 +307,9 @@ def _run_training(env_factory, state_dim: int, action_dim: int, cfg: TrainConfig
 
     workers = {}
     pending = {}
+    clips = [0, 0]
     for wid in range(cfg.n_workers):
-        gen = _worker(wid, cfg, env_factory)
+        gen = _worker(wid, cfg, env_factory, clips)
         workers[wid] = gen
         pending[wid] = gen.send(None)  # first request, always a sync
 
@@ -377,6 +389,8 @@ def _run_training(env_factory, state_dim: int, action_dim: int, cfg: TrainConfig
         interleaving=list(store.log),
         global_steps=store.k,
         wall_seconds=time.perf_counter() - t0,
+        policy_clips=clips[0],
+        critic_clips=clips[1],
     )
 
 
@@ -425,7 +439,7 @@ def sca_schedule(policy: PolicyParams, scenario: Scenario, reward_mode: str = RE
         t = env.t
         lo, hi = env.bounds()
         _, mu, _ = policy_forward(policy, env.state.vector())
-        action = np.clip(mu, lo, hi)
+        action = mu.clip(lo, hi)
         forced += int(np.sum(mu < lo - 1e-12))
         transition = env.step(action)
         B[:, t - 1] = transition.action

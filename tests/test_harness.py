@@ -140,6 +140,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_non_positive_grad_clip_is_config_error(self, tmp_path):
+        path = tmp_path / "clip.ini"
+        path.write_text("[run]\nalgorithms = SCA\nseeds = 1\n[sca]\ngrad_clip = 0\n")
+        with pytest.raises(ConfigError, match="grad_clip"):
+            load_config(path)
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+
 
 class TestBuildScenario:
     def test_reproducible(self):
@@ -283,7 +290,10 @@ class TestConcurrentTraining:
                 for a, b in zip(got.policy.arrays() + got.critic.arrays(), want.policy.arrays() + want.critic.arrays()):
                     assert a.tobytes() == b.tobytes()
                 assert got.critic.b_value == want.critic.b_value
+                assert (got.policy_clips, got.critic_clips) == (want.policy_clips, want.critic_clips)
                 assert got.interleaving == want.interleaving
+                # A policy sent back from a worker keeps its fields as views of its buffer.
+                assert all(np.shares_memory(a, got.policy.flat) for a in got.policy.arrays())
                 assert [e.total_reward for e in got.episodes] == [e.total_reward for e in want.episodes]
         table = trainer.policy("AEM", 1)[0]
         assert table.values.tobytes() == expected["AEM"].values.tobytes()
@@ -326,8 +336,9 @@ class TestConcurrentTraining:
         emit_report(result, tmp_path)
         summary = (tmp_path / "summary.txt").read_text()
         for alg in ("SCA", "CALC"):
-            steps = result.training.policies[(alg, 1)][1].global_steps
-            assert f"  {alg} seed=1: " in summary and f" ms, {steps} steps, " in summary
+            curve = result.training.policies[(alg, 1)][1]
+            assert f"  {alg} seed=1: " in summary and f" ms, {curve.global_steps} steps, " in summary
+            assert f"gradients clipped: {curve.policy_clips} policy, {curve.critic_clips} critic\n" in summary
         assert "  AEM seed=1: " in summary
         assert f"Training phase: {result.training.wall_ms:.0f} ms wall, {result.training.workers} worker processes" in summary
 

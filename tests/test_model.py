@@ -10,6 +10,8 @@ from evchargelab.model import (
     PriceModel,
     Scenario,
     Violation,
+    bill,
+    flat_completion_change,
     horizon_cost,
     slot_cost,
     validate_schedule,
@@ -96,6 +98,47 @@ class TestSlotCost:
         for frac in np.linspace(0, 1, 21):
             split = slot_cost((frac * total,), l_b, pm) + slot_cost(((1 - frac) * total,), l_b, pm)
             assert even <= split + 1e-12
+
+
+class TestBill:
+    def test_scalar_path_matches_array_sum(self, rng):
+        for _ in range(200):
+            pm = PriceModel(k0=float(rng.uniform(0, 1)), k1=float(rng.uniform(0, 0.1)))
+            s, l_b = rng.uniform(0, 50, size=2)
+            want = float(np.sum(pm.k0 * s + pm.k1 * s * s + 2.0 * pm.k1 * l_b * s))
+            assert bill(float(s), l_b, pm) == want and type(bill(float(s), l_b, pm)) is float
+
+
+def reference_flat_bill(residuals, slots_left, first, t, scenario):
+    """Bill of slots t + first .. T at flat rates, one bill at a time."""
+    width = scenario.horizon - t + 1
+    rates = np.bincount(first + slots_left - 1, weights=residuals / slots_left, minlength=width)
+    load = rates[::-1].cumsum()[::-1][first:]
+    pm = scenario.price
+    return float((load * (pm.k0 + pm.k1 * load + 2.0 * pm.k1 * scenario.base_load[t - 1 + first :])).sum())
+
+
+class TestFlatCompletionChange:
+    def test_matches_one_bill_at_a_time(self, rng):
+        # Horizons past 128 slots cover every branch of NumPy's pairwise sum.
+        for _ in range(300):
+            horizon = int(rng.integers(1, 200))
+            evs = []
+            for i in range(int(rng.integers(1, 30))):
+                t_arr = int(rng.integers(1, horizon + 1))
+                evs.append(make_ev(i, t_arr, int(rng.integers(t_arr, horizon + 1)), float(rng.uniform(0, 20)),
+                                   b_max=7.0, capacity=60.0))
+            scn = make_scenario(evs, horizon, rng.uniform(0, 50, horizon), k0=float(rng.uniform(0, 0.2)),
+                                k1=float(rng.uniform(0, 0.01)))
+            t = int(rng.integers(1, horizon + 1))
+            rows = np.flatnonzero(scn.mask[:, t - 1])
+            before = rng.uniform(0, 20, rows.size)
+            after = np.maximum(before - rng.uniform(0, 7, rows.size), 0.0)
+            t_dep = scn.t_dep[rows]
+            later = t_dep > t
+            want = (reference_flat_bill(after[later], t_dep[later] - t, 1, t, scn)
+                    - reference_flat_bill(before, t_dep - t + 1, 0, t, scn))
+            assert flat_completion_change(before, after, t_dep, t, scn) == want
 
 
 class TestHorizonCost:

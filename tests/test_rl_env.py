@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evchargelab.harness import benchmark_spec, build_scenario
-from evchargelab.model import slot_cost
+from evchargelab.model import laxity_corridor, slot_cost
 from evchargelab.rl.env import (
     REWARD_EXACT,
     REWARD_REGRET,
@@ -214,7 +214,13 @@ def per_ev_soc(env):
 
 
 def per_ev_aggregate_bounds(env):
-    """AggregateEnv's corridor: per-EV laxity minima and headrooms, summed."""
+    """AggregateEnv's corridor (in action units): per-EV laxity minima and headrooms, summed."""
+    lo, hi = per_ev_aggregate_corridor(env)
+    return lo / env.action_scale, hi / env.action_scale
+
+
+def per_ev_aggregate_corridor(env):
+    """AggregateEnv's corridor in kWh."""
     t = min(env.t, env.scenario.horizon)
     lo, hi = [], []
     for row, ev in enumerate(env.scenario.evs):
@@ -223,7 +229,22 @@ def per_ev_aggregate_bounds(env):
             hi.append(min(ev.b_max, residual))
             lo.append(max(residual - ev.b_max * (ev.t_dep - t), 0.0))
     top = float(np.sum(hi))
-    return min(float(np.sum(lo)), top) / env.action_scale, top / env.action_scale
+    return min(float(np.sum(lo)), top), top
+
+
+def reference_allocation(env, budget):
+    """AggregateEnv's split of a budget, with the corridor recomputed from the residuals."""
+    sc, t = env.scenario, env.t
+    rows = np.flatnonzero(sc.mask[:, t - 1] & (env.residuals > 1e-9))
+    t_dep = sc.t_dep[rows]
+    forced, cap = laxity_corridor(env.residuals[rows], sc.b_max[rows], t_dep - t)
+    forced = np.minimum(forced, cap)
+    order = np.argsort(t_dep, kind="stable")
+    room = (cap - forced)[order]
+    amounts = np.zeros(sc.n_evs)
+    amounts[rows] = forced
+    amounts[rows[order]] += np.clip(budget - forced.sum() - (np.cumsum(room) - room), 0.0, room)
+    return amounts
 
 
 class TestCorridorMatchesPerEvFormulas:
@@ -241,7 +262,11 @@ class TestCorridorMatchesPerEvFormulas:
                 ref_lo, ref_hi = per_ev_bounds(env)
                 np.testing.assert_array_equal(lo, ref_lo)
                 np.testing.assert_array_equal(hi, ref_hi)
-                env.step(rng.uniform(-1.0, 5.0, size=scn.n_evs))
+                action = rng.uniform(-1.0, 5.0, size=scn.n_evs)
+                action[rng.random(scn.n_evs) < 0.3] = rng.choice([-0.0, 0.0])
+                transition = env.step(action)
+                # The step clips into the cached corridor exactly as np.clip does, signed zeros included.
+                assert transition.action.tobytes() == np.clip(action, ref_lo, ref_hi).tobytes()
 
     def test_aggregate_env(self, rng):
         for k in range(20):
@@ -249,4 +274,9 @@ class TestCorridorMatchesPerEvFormulas:
             env = AggregateEnv(scn, REWARD_REGRET)
             while not env.done:
                 assert env.bounds() == per_ev_aggregate_bounds(env)
-                env.step(float(rng.uniform(-1.0, 3.0)))
+                action = float(rng.uniform(-1.0, 3.0))
+                lo, hi = per_ev_aggregate_corridor(env)
+                budget = min(max(env.action_scale * action, lo), hi)
+                want = env.residuals - reference_allocation(env, budget)
+                env.step(action)
+                assert env.residuals.tobytes() == want.tobytes()

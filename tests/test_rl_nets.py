@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from evchargelab.rl.nets import (
+    LOG_SIGMA_MAX,
+    LOG_SIGMA_MIN,
     CriticParams,
     PolicyParams,
     critic_gradient,
@@ -235,3 +237,159 @@ class TestInit:
         np.testing.assert_allclose(clone.w_mu, 2 * params.w_mu)
         # the original is untouched
         assert not np.allclose(clone.w_mu, params.w_mu)
+
+
+# Per-array references: the formulas the flat-buffer kernels replaced.
+def reference_policy_gradient(params, state, action):
+    h, mu, log_sigma = policy_forward(params, state)
+    sigma2 = np.exp(2.0 * log_sigma)
+    d_mu = (action - mu) / sigma2
+    d_log_sigma = (action - mu) ** 2 / sigma2 - 1.0
+    d_log_sigma = np.where((params.log_sigma > LOG_SIGMA_MIN) & (params.log_sigma < LOG_SIGMA_MAX), d_log_sigma, 0.0)
+    d_z = (params.w_mu @ d_mu) * (h > 0)
+    return [np.outer(state, d_z), d_z, np.outer(h, d_mu), d_mu, d_log_sigma]
+
+
+def reference_critic_gradient(params, state, action):
+    x = np.concatenate([np.atleast_1d(state), np.atleast_1d(action)])
+    h = np.maximum(x @ params.w_hidden + params.b_hidden, 0.0)
+    d_z = params.w_value * (h > 0)
+    return float(h @ params.w_value + params.b_value), [np.outer(x, d_z), d_z, h], 1.0
+
+
+def reference_clip_norm(arrays, b_value, max_norm):
+    """Per-array sum of squares and rescale; b_value (or None) is the critic's scalar."""
+    total = sum(float((a * a).sum()) for a in arrays) + (b_value**2 if b_value is not None else 0.0)
+    norm = np.sqrt(total)
+    if norm > max_norm:
+        scale = max_norm / norm
+        arrays = [a * scale for a in arrays]
+        b_value = b_value * scale if b_value is not None else None
+    return arrays, b_value
+
+
+def same_bits(a, b):
+    """Equal to the bit, so that +0.0 and -0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_case(rng, state_dim, action_dim, hidden):
+    """A policy and critic with a state holding +-0.0, log sigma at and past both clamp bounds, and some
+    hidden units off."""
+    policy = init_policy(state_dim, action_dim, rng, hidden=hidden)
+    policy.b_hidden[:] = rng.normal(size=hidden)
+    policy.b_mu[:] = rng.normal(size=action_dim)
+    policy.log_sigma[:] = rng.choice([LOG_SIGMA_MIN, LOG_SIGMA_MAX, -7.0, 3.0, -0.0, 0.0, 0.4], size=action_dim)
+    critic = init_critic(state_dim + action_dim, rng, hidden=hidden)
+    critic.b_hidden[:] = rng.normal(size=hidden)
+    critic.b_value = float(rng.normal())
+    state = rng.normal(size=state_dim) * rng.choice([1e-3, 1.0, 50.0])
+    state[rng.integers(state_dim)] = -0.0
+    state[rng.integers(state_dim)] = 0.0
+    return policy, critic, state
+
+
+class TestFlatKernelsMatchPerArrayReferences:
+    DIMS = ((41, 40, 200), (2, 1, 200), (3, 2, 5))
+
+    def test_policy_gradient_with_reused_forward_and_buffer(self, rng):
+        for state_dim, action_dim, hidden in self.DIMS:
+            out = None
+            for _ in range(20):
+                policy, _, state = random_case(rng, state_dim, action_dim, hidden)
+                forward = policy_forward(policy, state)
+                action = policy_draw(policy, state, rng, forward)
+                action[rng.integers(action_dim)] = -0.0
+                out = log_policy_gradient(policy, state, action, forward, out=out)
+                want = reference_policy_gradient(policy, state, action)
+                assert all(same_bits(a, b) for a, b in zip(out.arrays(), want))
+                fresh = log_policy_gradient(policy, state, action)
+                assert same_bits(fresh.flat, out.flat)
+
+    def test_critic_gradient_into_a_buffer(self, rng):
+        for state_dim, action_dim, hidden in self.DIMS:
+            out = None
+            for _ in range(20):
+                _, critic, state = random_case(rng, state_dim, action_dim, hidden)
+                action = np.clip(rng.normal(size=action_dim), 0.0, None)
+                q, out = critic_gradient(critic, state, action, out=out)
+                want_q, want, want_b = reference_critic_gradient(critic, state, action)
+                assert q == want_q and q == critic_value(critic, state, action)
+                assert all(same_bits(a, b) for a, b in zip(out.arrays(), want))
+                assert out.b_value == want_b
+
+    def test_clip_norm_binding_and_not(self, rng):
+        from evchargelab.rl.train import _clip_norm
+
+        for state_dim, action_dim, hidden in self.DIMS:
+            for max_norm in (1e-3, 1.0, 1e6, np.inf):
+                policy, critic, state = random_case(rng, state_dim, action_dim, hidden)
+                action = policy_draw(policy, state, rng)
+                score = log_policy_gradient(policy, state, action)
+                want, _ = reference_clip_norm(list(score.arrays()), None, max_norm)
+                assert _clip_norm(score, max_norm) == (max_norm < 1e6)
+                assert all(same_bits(a, b) for a, b in zip(score.arrays(), want))
+                _, grads = critic_gradient(critic, state, np.abs(action))
+                want, want_b = reference_clip_norm(list(grads.arrays()), grads.b_value, max_norm)
+                assert _clip_norm(grads, max_norm) == (max_norm < 1e6)
+                assert all(same_bits(a, b) for a, b in zip(grads.arrays(), want))
+                assert grads.b_value == want_b and type(grads.b_value) is float
+
+    def test_add_scaled_and_copy(self, rng):
+        for state_dim, action_dim, hidden in self.DIMS:
+            policy, critic, _ = random_case(rng, state_dim, action_dim, hidden)
+            for params in (policy, critic):
+                other = params.copy()
+                other.flat[:] = rng.normal(size=other.flat.size)
+                scale = float(rng.normal())
+                want = [a + scale * b for a, b in zip(params.arrays(), other.arrays())]
+                want_b = params.b_value + scale * other.b_value if params is critic else None
+                params.add_scaled(other, scale)
+                assert all(same_bits(a, b) for a, b in zip(params.arrays(), want))
+                if want_b is not None:
+                    assert params.b_value == want_b
+
+
+class TestFlatBuffer:
+    def test_fields_are_views_of_the_buffer(self, rng):
+        policy = init_policy(3, 2, rng, hidden=4)
+        assert policy.flat.size == 3 * 4 + 4 + 4 * 2 + 2 + 2
+        assert all(np.shares_memory(a, policy.flat) for a in policy.arrays())
+        policy.w_mu[1, 0] = 7.0
+        assert 7.0 in policy.flat
+        policy.flat[-1] = -3.0
+        assert policy.log_sigma[-1] == -3.0
+
+    def test_b_value_is_the_last_entry_and_a_float(self, rng):
+        critic = init_critic(3, rng, hidden=4)
+        critic.b_value = 2.5
+        assert critic.flat[-1] == 2.5
+        critic.flat *= 2.0
+        assert critic.b_value == 5.0 and type(critic.b_value) is float
+
+    def test_copy_and_zeros_like_are_independent(self, rng):
+        for params in (init_policy(3, 2, rng, hidden=4), init_critic(3, rng, hidden=4)):
+            before = params.flat.copy()
+            clone, zeros = params.copy(), params.zeros_like()
+            assert np.array_equal(clone.flat, before) and not zeros.flat.any()
+            for other in (clone, zeros):
+                assert all(np.shares_memory(a, other.flat) for a in other.arrays())
+                assert not np.shares_memory(other.flat, params.flat)
+                other.flat[:] = 9.0
+                assert all(np.all(a == 9.0) for a in other.arrays())
+            assert np.array_equal(params.flat, before)
+
+    def test_constructor_copies_its_arrays(self):
+        w_mu = np.ones((1, 1))
+        params = PolicyParams(np.zeros((1, 1)), np.zeros(1), w_mu, np.zeros(1), np.zeros(1))
+        w_mu[0, 0] = 5.0
+        assert params.w_mu[0, 0] == 1.0
+
+    def test_pickle_keeps_the_views(self, rng):
+        import pickle
+
+        for params in (init_policy(3, 2, rng, hidden=4), init_critic(3, rng, hidden=4)):
+            loaded = pickle.loads(pickle.dumps(params))
+            assert same_bits(loaded.flat, params.flat)
+            assert all(np.shares_memory(a, loaded.flat) for a in loaded.arrays())

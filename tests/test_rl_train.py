@@ -120,6 +120,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(reward_mode="gold-stars")
 
+    def test_grad_clip_must_be_positive(self):
+        # 0 would zero every TD error and advantage, a negative bound would
+        # flip the sign of every clipped gradient; inf means no clipping.
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="grad_clip"):
+                TrainConfig(grad_clip=bad)
+        assert TrainConfig(grad_clip=float("inf")).grad_clip == float("inf")
+
 
 def tiny_cfg(**kw):
     defaults = dict(k_max=600, n_workers=1, seed=0, discount=0.9,
@@ -178,6 +186,21 @@ class TestTraining:
         untouched = fresh_policy(scn.n_evs + 1, scn.n_evs, init_rng, hidden=cfg.policy_hidden)
         for got, init in zip(result.policy.arrays(), untouched.arrays()):
             assert np.array_equal(got, init)
+
+    def test_clip_counts(self):
+        scn = random_feasible_scenario(np.random.default_rng(45))
+        unclipped = train_sca(lambda seed: scn, tiny_cfg(k_max=200, grad_clip=float("inf")))
+        assert (unclipped.policy_clips, unclipped.critic_clips) == (0, 0)
+        # Every critic gradient holds d Q / d b_value = 1, so a bound below 1 clips each one.
+        clipped = train_sca(lambda seed: scn, tiny_cfg(k_max=200, grad_clip=1e-9))
+        assert clipped.critic_clips >= clipped.global_steps
+        assert clipped.policy_clips == clipped.critic_clips
+
+    def test_b_value_stays_a_float(self):
+        scn = random_feasible_scenario(np.random.default_rng(46))
+        for train in (train_sca, train_calc_stage1):
+            result = train(lambda seed: scn, tiny_cfg(k_max=100, grad_clip=1e-3))
+            assert result.critic_clips > 0 and type(result.critic.b_value) is float
 
     def test_training_log_fields(self, tmp_path):
         scn = random_feasible_scenario(np.random.default_rng(42))
