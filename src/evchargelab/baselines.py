@@ -41,7 +41,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import DEFAULT_TOL, ChargingSchedule, Scenario, flat_completion_change, laxity_corridor, slot_cost
+from .model import (
+    DEFAULT_TOL,
+    ChargingSchedule,
+    Scenario,
+    flat_completion_change,
+    laxity_corridor,
+    masked_sum,
+    slot_cost,
+)
 from .solvers import solve_rolling_step
 
 _Q_CLAMP = 1e9
@@ -215,22 +223,22 @@ class QLearnConfig:
         return self.epsilon_start + frac * (self.epsilon_end - self.epsilon_start)
 
 
-def _allocate_aggregate(rows, corridor, t_dep, n_evs: int, budget: float) -> np.ndarray:
-    """Split an aggregate budget over the parked `rows` in one slot.
+def _allocate_aggregate(live, corridor, order, budget) -> np.ndarray:
+    """Split an aggregate budget over the parked (`live`) EVs in one slot.
 
-    `corridor` is the rows' `laxity_corridor` in the slot and `t_dep` their
-    departures. Every EV first gets its laxity minimum; what is left of the
-    budget then fills EVs up to their headroom, earliest departure first.
+    `corridor` is the EVs' `laxity_corridor` in the slot and `order` the
+    index that lists them by departure (a stable argsort). Every parked EV
+    first gets its laxity minimum; what is left of the budget then fills
+    them up to their headroom, earliest departure first. With a leading row
+    axis, each row splits its own budget, and `order` indexes rows too.
     """
     lo, cap = corridor
-    forced = np.minimum(lo, cap)
-    order = t_dep.argsort(kind="stable")
-    room = (cap - forced)[order]
-    extra = (budget - forced.sum() - (room.cumsum() - room)).clip(0.0, room)
-    amounts = np.zeros(n_evs)
-    amounts[rows] = forced
-    amounts[rows[order]] += extra
-    return amounts
+    forced = np.where(live, np.minimum(lo, cap), 0.0)
+    # The EVs that are not parked have no room, so they add 0 to the running sum.
+    room = np.where(live, cap - forced, 0.0)[order]
+    left = np.asarray(budget - masked_sum(forced, live))[..., None]
+    forced[order] += (left - (room.cumsum(axis=-1) - room)).clip(0.0, room)
+    return forced
 
 
 def _aem_rollout(table: QTable, scenario: Scenario, pick_action, transitions: list | None = None) -> ChargingSchedule:
@@ -246,6 +254,7 @@ def _aem_rollout(table: QTable, scenario: Scenario, pick_action, transitions: li
     residuals = scenario.demand.copy()
     total_demand = max(residuals.sum(), 1e-12)
     load_fraction = scenario.base_load / table.load_scale
+    order = scenario.t_dep.argsort(kind="stable")
     for t in range(1, T + 1):
         parked = scenario.mask[:, t - 1] & (residuals > 1e-9)
         state = table.state_index(1.0 - residuals.sum() / total_demand, load_fraction[t - 1])
@@ -253,9 +262,8 @@ def _aem_rollout(table: QTable, scenario: Scenario, pick_action, transitions: li
             continue
         action = pick_action(state)
         rows = np.flatnonzero(parked)
-        t_dep = scenario.t_dep[rows]
-        corridor = laxity_corridor(residuals[rows], scenario.b_max[rows], t_dep - t)
-        amounts = _allocate_aggregate(rows, corridor, t_dep, scenario.n_evs, action * table.quantum * rows.size)
+        corridor = laxity_corridor(residuals, scenario.b_max, scenario.t_dep - t)
+        amounts = _allocate_aggregate(parked, corridor, order, action * table.quantum * rows.size)
         B[:, t - 1] = amounts
         residuals -= amounts
         if transitions is None:

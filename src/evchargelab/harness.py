@@ -33,6 +33,7 @@ from .scenario import (
     ArrivalDistribution,
     DwellDistribution,
     FleetConfig,
+    SocDistribution,
     load_base_series,
     sample_fleet,
     synthetic_base_load,
@@ -258,19 +259,25 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
 
 
-def build_scenario(spec: ScenarioSpec, seed: int) -> tuple[Scenario, int]:
-    """Materialize one scenario draw; returns (scenario, truncation_count)."""
+def _fleet_source(spec: ScenarioSpec) -> tuple[np.ndarray, FleetConfig]:
+    """The base load and the fleet distribution of a spec, which all its draws share."""
     if spec.base_load_path:
         base = load_base_series(spec.base_load_path, spec.horizon)
     else:
         base = synthetic_base_load(spec.horizon, spec.base_low, spec.base_high, spec.base_peak_slot)
+    base.setflags(write=False)
     fleet_cfg = FleetConfig(
         n_evs=spec.n_evs,
         horizon=spec.horizon,
         ev_type=spec.ev_type,
         arrival=ArrivalDistribution.evening_peak(spec.horizon, spec.arrival_peak_slot, spec.arrival_spread),
+        soc=SocDistribution.midrange(),
         dwell=DwellDistribution.uniform(spec.dwell_min, spec.dwell_max),
     )
+    return base, fleet_cfg
+
+
+def _draw(spec: ScenarioSpec, base: np.ndarray, fleet_cfg: FleetConfig, seed: int) -> tuple[Scenario, int]:
     sample = sample_fleet(fleet_cfg, seed)
     scenario = Scenario(
         horizon=spec.horizon,
@@ -282,11 +289,17 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> tuple[Scenario, int]:
     return scenario, sample.truncation_count
 
 
+def build_scenario(spec: ScenarioSpec, seed: int) -> tuple[Scenario, int]:
+    """Materialize one scenario draw; returns (scenario, truncation_count)."""
+    return _draw(spec, *_fleet_source(spec), seed)
+
+
 def make_sampler(spec: ScenarioSpec):
-    """Scenario sampler over the configured fleet distribution."""
+    """Scenario sampler over the configured fleet distribution; it reads the base load once."""
+    source = _fleet_source(spec)
 
     def sampler(seed: int) -> Scenario:
-        return build_scenario(spec, seed)[0]
+        return _draw(spec, *source, seed)[0]
 
     return sampler
 
@@ -322,6 +335,10 @@ def benchmark_train_config(algorithm: str) -> TrainConfig:
     flat-regret rewards, whose short horizon (discount 0.5) already prices
     deferral, with a critic warmup so early actor pushes are not driven by
     an untrained critic.
+
+    Both step several episodes together (`n_workers` rows): a lockstep step
+    costs little more for more rows, and the aggregate policy, whose
+    network is small, takes more rows than the per-EV one.
     """
     if algorithm == "SCA":
         return TrainConfig(
@@ -329,6 +346,7 @@ def benchmark_train_config(algorithm: str) -> TrainConfig:
             beta_a=1e-3,
             beta_c=1e-2,
             discount=0.95,
+            n_workers=8,
             update_period=10,
             seed=1,
         )
@@ -339,6 +357,7 @@ def benchmark_train_config(algorithm: str) -> TrainConfig:
             beta_a=3e-4,
             beta_c=3e-3,
             discount=0.5,
+            n_workers=12,
             critic_warmup=10_000,
             seed=1,
         )

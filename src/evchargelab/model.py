@@ -14,6 +14,8 @@ Slots are 1-based (t in 1..T) at the API surface; schedule matrices use
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,18 +73,62 @@ class EVProfile:
             )
 
 
+class EVArrays(Sequence):
+    """A fleet as arrays, one entry per EV, that reads as a sequence of
+    `EVProfile`s (entry i has id i + 1); the profiles are built on first use.
+
+    `Scenario` takes the arrays as they are, so a fleet drawn as arrays
+    builds no profile unless something reads one.
+    """
+
+    _COLUMNS = ("t_arr", "t_dep", "demand", "b_max", "capacity", "soc_init")
+
+    def __init__(self, t_arr, t_dep, demand, b_max, capacity, soc_init):
+        columns = dict(zip(self._COLUMNS, (t_arr, t_dep, demand, b_max, capacity, soc_init)))
+        self.columns = {name: np.array(value, dtype=int if name.startswith("t_") else float)
+                        for name, value in columns.items()}
+        for array in self.columns.values():
+            array.setflags(write=False)
+        self._profiles = None
+        c = self.columns
+        # EVProfile's checks, entry by entry: the first entry that fails one raises its ModelError.
+        bad = ((c["t_arr"] > c["t_dep"]) | (c["demand"] < 0) | (c["b_max"] <= 0) | (c["capacity"] <= 0)
+               | ~((0 <= c["soc_init"]) & (c["soc_init"] <= 1))
+               | (c["demand"] > c["capacity"] * (1.0 - c["soc_init"]) + 1e-6))
+        if bad.any():
+            self._profile(int(bad.argmax()))
+
+    def _profile(self, i: int) -> EVProfile:
+        c = self.columns
+        return EVProfile(id=i + 1, t_arr=int(c["t_arr"][i]), t_dep=int(c["t_dep"][i]),
+                         demand_kwh=float(c["demand"][i]), b_max=float(c["b_max"][i]),
+                         capacity_kwh=float(c["capacity"][i]), soc_init=float(c["soc_init"][i]))
+
+    def __len__(self) -> int:
+        return self.columns["t_arr"].size
+
+    def __getitem__(self, index):
+        if self._profiles is None:
+            self._profiles = tuple(self._profile(i) for i in range(len(self)))
+        return self._profiles[index]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A charging-station instance: horizon, base load, fleet, price, cap.
 
     The fleet arrays (`t_arr`, `t_dep`, `demand`, `b_max`, `capacity`,
     `soc_init`, and the (n_evs, horizon) window `mask`, True where the EV is
-    parked) are built once here and are read-only.
+    parked) are built once here and are read-only. `evs` is a sequence of
+    profiles, or an `EVArrays`, whose arrays are used as they are.
     """
 
     horizon: int
     base_load: np.ndarray  # kWh per slot, length horizon
-    evs: tuple[EVProfile, ...]
+    evs: Sequence[EVProfile]
     price: PriceModel = field(default_factory=PriceModel)
     load_cap: float = float("inf")  # kWh per slot, total load bound
     slot_hours: float = 1.0
@@ -90,7 +136,6 @@ class Scenario:
     def __post_init__(self):
         base = np.asarray(self.base_load, dtype=float)
         object.__setattr__(self, "base_load", base)
-        object.__setattr__(self, "evs", tuple(self.evs))
         if self.horizon < 1:
             raise ModelError(f"horizon must be >= 1, got {self.horizon}")
         if base.shape != (self.horizon,):
@@ -99,19 +144,25 @@ class Scenario:
             raise ModelError("base_load entries must be non-negative")
         if base.size and self.load_cap < base.max():
             raise ModelError(f"load_cap {self.load_cap} below peak base load {base.max()}")
-        ids = set()
-        for ev in self.evs:
-            if ev.t_arr < 1 or ev.t_dep > self.horizon:
-                raise ModelError(f"EV {ev.id}: window [{ev.t_arr}, {ev.t_dep}] outside [1, {self.horizon}]")
-            if ev.id in ids:
-                raise ModelError(f"duplicate EV id {ev.id}")
-            ids.add(ev.id)
+        if isinstance(self.evs, EVArrays):
+            fleet = dict(self.evs.columns)
+        else:
+            object.__setattr__(self, "evs", tuple(self.evs))
+            ids = set()
+            for ev in self.evs:
+                if ev.id in ids:
+                    raise ModelError(f"duplicate EV id {ev.id}")
+                ids.add(ev.id)
 
-        def column(attr, dtype=float):
-            return np.array([getattr(ev, attr) for ev in self.evs], dtype=dtype)
+            def column(attr, dtype=float):
+                return np.array([getattr(ev, attr) for ev in self.evs], dtype=dtype)
 
-        fleet = {"t_arr": column("t_arr", int), "t_dep": column("t_dep", int), "demand": column("demand_kwh"),
-                 "b_max": column("b_max"), "capacity": column("capacity_kwh"), "soc_init": column("soc_init")}
+            fleet = {"t_arr": column("t_arr", int), "t_dep": column("t_dep", int), "demand": column("demand_kwh"),
+                     "b_max": column("b_max"), "capacity": column("capacity_kwh"), "soc_init": column("soc_init")}
+        outside = (fleet["t_arr"] < 1) | (fleet["t_dep"] > self.horizon)
+        if outside.any():
+            ev = self.evs[int(outside.argmax())]
+            raise ModelError(f"EV {ev.id}: window [{ev.t_arr}, {ev.t_dep}] outside [1, {self.horizon}]")
         slots = np.arange(1, self.horizon + 1)
         fleet["mask"] = (fleet["t_arr"][:, None] <= slots) & (slots <= fleet["t_dep"][:, None])
         for name, array in fleet.items():
@@ -120,7 +171,7 @@ class Scenario:
 
     @property
     def n_evs(self) -> int:
-        return len(self.evs)
+        return self.t_arr.size
 
 
 class ChargingSchedule:
@@ -146,14 +197,32 @@ class ChargingSchedule:
         return f"ChargingSchedule(n_evs={self.n_evs}, horizon={self.horizon})"
 
 
-def bill(S, l_b, pm: PriceModel) -> float:
+def bills(S, l_b, pm: PriceModel):
     """Bill of charging S on top of base load l_b: the integral of the unit
     price k0 + 2*k1*load from l_b to l_b + S, i.e. k0*S + k1*S^2 + 2*k1*l_b*S.
 
-    S and l_b may be per-slot arrays; the bill is then summed over slots.
+    S and l_b may be arrays (slots, or the rows of a batched env); the
+    bills are then elementwise.
     """
-    cost = pm.k0 * S + pm.k1 * S * S + 2.0 * pm.k1 * l_b * S
+    return pm.k0 * S + pm.k1 * S * S + 2.0 * pm.k1 * l_b * S
+
+
+def bill(S, l_b, pm: PriceModel) -> float:
+    """`bills`, summed over slots where S and l_b are per-slot arrays."""
+    cost = bills(S, l_b, pm)
     return float(cost.sum() if isinstance(cost, np.ndarray) else cost)
+
+
+def masked_sum(values: np.ndarray, mask: np.ndarray):
+    """Sum over the last axis of the entries where `mask` holds.
+
+    With a one-row mask the masked entries are gathered and summed, as
+    every single-scenario rollout always has. The rows of a batch sum in
+    place, with zeros elsewhere, which can round differently in the last bit.
+    """
+    if mask.ndim == 1:
+        return np.add.reduce(values.compress(mask, axis=-1), axis=-1)
+    return np.add.reduce(np.where(mask, values, 0.0), axis=-1)
 
 
 def laxity_corridor(residuals, b_max, slots_after):
@@ -184,31 +253,40 @@ def horizon_cost(schedule: ChargingSchedule, scenario: Scenario) -> float:
     return bill(schedule.slot_totals(), scenario.base_load, scenario.price)
 
 
-def flat_completion_change(before: np.ndarray, after: np.ndarray, t_dep: np.ndarray, t: int,
-                           scenario: Scenario) -> float:
+def flat_completion_change(before: np.ndarray, after: np.ndarray, t_dep: np.ndarray, t,
+                           scenario: Scenario):
     """Change across slot t in the bill of finishing the given EVs at flat rates.
 
     The EVs are those parked in slot t, with residual demands `before` and
     `after` the slot and departures `t_dep`. An EV's flat rate is its residual
     over its slots left, charged in every slot up to its departure. Slot t's
     own bill plus this change is the extra bill the slot's charging causes
-    over finishing at flat rates.
+    over finishing at flat rates. `scenario` supplies `base_load` and `price`.
+
+    With a leading row axis (a batched env passes itself as `scenario`),
+    `t` holds each row's slot, `scenario.base_load` each row's series, an
+    EV a row does not park in its slot has `before` and `after` 0, and the
+    result holds one change per row.
     """
-    # Row 0 holds the flat loads of slots t..T before the slot, row 1 those
-    # after it; row 1 bills slots t+1..T only. Each slot's bill is
-    # load * (k0 + k1 * load + 2 * k1 * base load).
-    width = scenario.horizon - t + 1
+    # Part 0 holds the flat rates and loads of each slot before slot t's
+    # charging, part 1 those after it; part 1 bills slots t+1..T only. Each
+    # slot's bill is load * (k0 + k1 * load + 2 * k1 * base load).
+    base = scenario.base_load
+    horizon = base.shape[-1]
+    lead = before.shape[:-1]
+    t = np.asarray(t)[..., None]
     slots_after = t_dep - t
-    later = slots_after > 0
-    rates = np.bincount(
-        np.concatenate((slots_after, slots_after[later] + width)),
-        weights=np.concatenate((before / (slots_after + 1), after[later] / slots_after[later])),
-        minlength=2 * width,
-    ).reshape(2, width)
-    load = rates[:, ::-1].cumsum(axis=1)[:, ::-1]
+    rates = np.zeros(lead + (2, before.shape[-1]))
+    np.divide(before, slots_after + 1, out=rates[..., 0, :], where=slots_after >= 0)
+    np.divide(after, slots_after, out=rates[..., 1, :], where=slots_after > 0)
+    parts = 2 * math.prod(lead)
+    bins = t_dep[..., None, :] - 1 + horizon * np.arange(parts).reshape(lead + (2, 1))
+    load = np.bincount(bins.ravel(), rates.ravel(), parts * horizon).reshape(lead + (2, horizon))
+    load = load[..., ::-1].cumsum(axis=-1)[..., ::-1]
     pm = scenario.price
-    cost = load * (pm.k0 + pm.k1 * load + 2.0 * pm.k1 * scenario.base_load[t - 1 :])
-    return float(cost[1, 1:].sum()) - float(cost[0].sum())
+    cost = load * (pm.k0 + pm.k1 * load + 2.0 * pm.k1 * base[..., None, :])
+    slots = np.arange(1, horizon + 1)
+    return masked_sum(cost[..., 1, :], slots > t) - masked_sum(cost[..., 0, :], slots >= t)
 
 
 @dataclass(frozen=True)

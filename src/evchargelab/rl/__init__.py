@@ -25,7 +25,6 @@ from .train import (
     accumulate_return,
     calc_aggregate_series,
     calc_schedule,
-    critic_update,
     replay_training,
     sca_schedule,
     td_error,

@@ -9,6 +9,13 @@ Each network's parameters live in one flat buffer, `flat`, and every field
 is a view of it, so a copy, a zero, a scaled add or a rescale of all the
 parameters is one NumPy operation. The gradients are written into such a
 buffer in place.
+
+Rows: the functions take states and actions with a leading row axis and
+then answer for each row; a buffer with a leading row axis holds one set
+of parameters (or gradients) per row. Each gradient is a sum of outer
+products, and `log_policy_factors` and `critic_factors` return their
+factors, so that a caller can take norms and sums of many gradients
+without writing them out.
 """
 
 from __future__ import annotations
@@ -36,12 +43,11 @@ class _FlatParams:
     def _bind(self, flat: np.ndarray, shapes):
         self.flat = flat
         self._shapes = shapes
-        self._spans = []
+        rows = flat.shape[:-1]
         start = 0
         for name, shape in zip(self._fields, shapes):
             stop = start + math.prod(shape)
-            self._spans.append((start, stop))
-            setattr(self, name, flat[start:stop].reshape(shape))
+            setattr(self, name, flat[..., start:stop].reshape(rows + shape))
             start = stop
 
     # Pickled as the buffer alone, so that the fields are views of it again
@@ -60,16 +66,16 @@ class _FlatParams:
     def copy(self):
         return self._like(self.flat.copy())
 
-    def zeros_like(self):
-        return self._like(np.zeros_like(self.flat))
+    def zeros_like(self, rows: tuple = ()):
+        """Zero parameters of this shape, with the leading row axes `rows` where given."""
+        return self._like(np.zeros(rows + self.flat.shape))
+
+    def rows(self) -> list:
+        """The parameters of each row of a buffer with a leading row axis, as views."""
+        return [self._like(row) for row in self.flat]
 
     def add_scaled(self, other, scale: float):
         self.flat += scale * other.flat
-
-    def sums_of_squares(self):
-        """Each field's sum of squares, in field order."""
-        squares = self.flat * self.flat
-        return [float(squares[start:stop].sum()) for start, stop in self._spans]
 
 
 class PolicyParams(_FlatParams):
@@ -156,48 +162,68 @@ def log_policy_density(params: PolicyParams, state: np.ndarray, action: np.ndarr
     return float(np.sum(-_HALF_LOG_2PI - log_sigma - (action - mu) ** 2 / (2.0 * sigma2)))
 
 
+def log_policy_factors(params: PolicyParams, action: np.ndarray, forward):
+    """Factors (d_z, d_mu, d_log_sigma) of the gradient of ln pi(action | state).
+
+    `forward` is `policy_forward(params, state)`. The gradient is
+    state ⊗ d_z for `w_hidden`, d_z for `b_hidden`, h ⊗ d_mu for `w_mu`,
+    d_mu for `b_mu` and d_log_sigma for `log_sigma`.
+    """
+    h, mu, log_sigma = forward
+    sigma2 = np.exp(2.0 * log_sigma)
+    diff = action - mu
+    d_mu = diff / sigma2
+    # clamp is flat outside its range
+    inside = (params.log_sigma > LOG_SIGMA_MIN) & (params.log_sigma < LOG_SIGMA_MAX)
+    d_log_sigma = np.where(inside, diff**2 / sigma2 - 1.0, 0.0)
+    d_z = (d_mu @ params.w_mu.T) * (h > 0)
+    return d_z, d_mu, d_log_sigma
+
+
 def log_policy_gradient(params: PolicyParams, state: np.ndarray, action: np.ndarray, forward=None,
                         out: PolicyParams | None = None) -> PolicyParams:
     """Exact gradient of ln pi(action | state) with respect to all parameters.
 
     `forward` is `policy_forward(params, state)` where the caller has it; the
-    gradient is written into `out` where given, else into new parameters.
+    gradient is written into `out` where given, else into new parameters
+    (stacked, one gradient per row, for states with a row axis).
     """
-    h, mu, log_sigma = policy_forward(params, state) if forward is None else forward
-    grads = params.zeros_like() if out is None else out
-    sigma2 = np.exp(2.0 * log_sigma)
-    diff = action - mu
-    d_mu = np.divide(diff, sigma2, out=grads.b_mu)
-    d_log_sigma = diff**2 / sigma2 - 1.0
-    # clamp is flat outside its range
-    inside = (params.log_sigma > LOG_SIGMA_MIN) & (params.log_sigma < LOG_SIGMA_MAX)
-    grads.log_sigma[...] = np.where(inside, d_log_sigma, 0.0)
-    d_z = np.multiply(params.w_mu @ d_mu, h > 0, out=grads.b_hidden)
-    np.multiply(state[:, None], d_z, out=grads.w_hidden)
-    np.multiply(h[:, None], d_mu, out=grads.w_mu)
+    forward = policy_forward(params, state) if forward is None else forward
+    d_z, d_mu, d_log_sigma = log_policy_factors(params, action, forward)
+    grads = params.zeros_like(np.shape(state)[:-1]) if out is None else out
+    np.multiply(state[..., :, None], d_z[..., None, :], out=grads.w_hidden)
+    grads.b_hidden[...] = d_z
+    np.multiply(forward[0][..., :, None], d_mu[..., None, :], out=grads.w_mu)
+    grads.b_mu[...] = d_mu
+    grads.log_sigma[...] = d_log_sigma
     return grads
 
 
-def _critic_forward(params: CriticParams, state: np.ndarray, action: np.ndarray, h_out=None):
-    """Return (concatenated input, hidden features, Q); the features go to `h_out` where given."""
-    x = np.concatenate((state, action), axis=None)
+def critic_factors(params: CriticParams, state: np.ndarray, action: np.ndarray, h_out=None):
+    """Q and the factors of its gradient: (q, x, h, d_z), x being the concatenated input.
+
+    The gradient is x ⊗ d_z for `w_hidden`, d_z for `b_hidden`, h for
+    `w_value` and 1 for `b_value`. The features go to `h_out` where given.
+    """
+    x = np.concatenate((state, action), axis=-1)
     h = np.maximum(x @ params.w_hidden + params.b_hidden, 0.0, out=h_out)
-    return x, h, float(h @ params.w_value + params.b_value)
+    return h @ params.w_value + params._b_value, x, h, params.w_value * (h > 0)
 
 
-def critic_value(params: CriticParams, state: np.ndarray, action: np.ndarray) -> float:
-    """Scalar Q on the concatenated (state, action) input."""
-    return _critic_forward(params, state, action)[2]
+def critic_value(params: CriticParams, state: np.ndarray, action: np.ndarray):
+    """Q on the concatenated (state, action) input: a float, or one per row."""
+    q = critic_factors(params, state, action)[0]
+    return float(q) if q.ndim == 0 else q
 
 
 def critic_gradient(params: CriticParams, state: np.ndarray, action: np.ndarray, out: CriticParams | None = None):
-    """Return (Q, gradient of Q w.r.t. all critic parameters).
+    """Return (Q, gradient of Q w.r.t. all critic parameters), one per row for inputs with a row axis.
 
     The gradient is written into `out` where given, else into new parameters.
     """
-    grads = params.zeros_like() if out is None else out
-    x, h, q = _critic_forward(params, state, action, h_out=grads.w_value)
-    d_z = np.multiply(params.w_value, h > 0, out=grads.b_hidden)
-    np.multiply(x[:, None], d_z, out=grads.w_hidden)
-    grads.b_value = 1.0
-    return q, grads
+    grads = params.zeros_like(np.shape(state)[:-1]) if out is None else out
+    q, x, h, d_z = critic_factors(params, state, action, h_out=grads.w_value)
+    np.multiply(x[..., :, None], d_z[..., None, :], out=grads.w_hidden)
+    grads.b_hidden[...] = d_z
+    grads._b_value[...] = 1.0
+    return (float(q) if q.ndim == 0 else q), grads

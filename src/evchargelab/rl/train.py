@@ -1,12 +1,26 @@
-"""Asynchronous actor-critic training with a replayable shared parameter store.
+"""Synchronous, batched actor-critic training with a replayable shared parameter store.
 
-Workers are cooperative coroutines that interact with a shared store at two
-points only: parameter sync and accumulated-gradient push. A seeded
-scheduler decides which worker advances at each store operation and records
-the realized interleaving; replaying that log reproduces the final
-parameters bit-exactly. Worker computation between store operations is
-deterministic given its own seed, so the interleaving log is a complete
-description of a run.
+The `n_workers` workers of a training are the rows of one batched env
+(`rl.env`), stepped in lockstep as in the synchronous actor-critic of
+Clemente, Castejón & Chandra 2017 ("Efficient Parallel Methods for Deep
+Reinforcement Learning"), the synchronous variant of A3C (Mnih et al.
+2016). Each step takes one policy forward pass and one draw for all rows.
+A row starts a new episode on a fresh `scenario_sampler` draw when its own
+episode ends, while the others run on.
+
+Training runs in windows of `update_period` steps. At a window's start
+every row syncs from the shared store, in row order, and draws its action
+from the synced policy. During the window each row refines its own copy of
+the critic every step from its TD error, and records the factors of its
+policy score and its critic gradient. At the window's end each row's
+advantage-weighted scores and gradients are summed in one matrix product
+per field, and every row pushes its sums to the store, in row order. The
+training ends at the first push that takes the store's step count past
+`k_max`, so it runs past the budget by less than one `update_period`.
+
+The store records every sync and push as (op, row). The record is a fixed
+round-robin, and a training is a function of its configuration and
+sampler, so `replay_training` reproduces the parameters bit for bit.
 """
 
 from __future__ import annotations
@@ -28,11 +42,9 @@ from .nets import (
     POLICY_HIDDEN,
     CriticParams,
     PolicyParams,
-    critic_gradient,
-    critic_value,
     init_critic,
     init_policy,
-    log_policy_gradient,
+    log_policy_factors,
     policy_draw,
     policy_forward,
 )
@@ -108,29 +120,85 @@ def accumulate_return(r: float, running: float, discount: float) -> float:
     return r + discount * running
 
 
-def critic_update(params: CriticParams, delta: float, grad_q: CriticParams, beta_c: float) -> CriticParams:
-    """In-place step params += beta_c * delta * grad Q; skipped if non-finite."""
-    if not math.isfinite(delta):
-        warnings.warn("non-finite TD error; critic step skipped")
-        return params
-    params.add_scaled(grad_q, beta_c * delta)
-    return params
+class _RowCritics:
+    """Each row's own critic between syncs: the synced critic plus the row's steps since.
+
+    A step moves a row's critic along its gradient (`nets.critic_factors`),
+    whose hidden-weight part is the outer product x ⊗ d_z. The rows keep
+    those parts as their factors, so each row's critic is evaluated over the
+    shared synced weights plus a low-rank sum, and never written out.
+    """
+
+    def __init__(self, rows: int, period: int, critic: CriticParams):
+        self.xs = np.zeros((rows, period, critic.w_hidden.shape[0]))  # each step's size times x
+        self.d_zs = np.zeros((rows, period, critic.w_hidden.shape[1]))
+        self.sync(critic)
+
+    def sync(self, critic: CriticParams):
+        """Set every row's critic to `critic`."""
+        rows = self.xs.shape[0]
+        self.synced = critic
+        self.b_hidden = np.repeat(critic.b_hidden[None], rows, axis=0)
+        self.w_value = np.repeat(critic.w_value[None], rows, axis=0)
+        self.b_value = np.full(rows, critic.b_value)
+        self.steps = 0
+
+    def factors(self, states: np.ndarray, actions: np.ndarray):
+        """(q, x, h, d_z) of each row's critic at its (state, action), as `nets.critic_factors` gives.
+
+        The point is kept: `last` gives its factors again after an update.
+        """
+        x = np.concatenate((states, actions), axis=-1)
+        z = x @ self.synced.w_hidden + self.b_hidden
+        if self.steps:
+            xs, d_zs = self.xs[:, : self.steps], self.d_zs[:, : self.steps]
+            z += (x[:, None, :] @ xs.transpose(0, 2, 1) @ d_zs)[:, 0]
+        self._x, self._z = x, z
+        return self.last()
+
+    def last(self):
+        """The factors at the point `factors` last evaluated, under the critics as they are now."""
+        h = np.maximum(self._z, 0.0)
+        return _dots(h, self.w_value) + self.b_value, self._x, h, self.w_value * (h > 0)
+
+    def update(self, delta, x, h, d_z, beta_c: float):
+        """Step each row's critic by beta_c * delta along its gradient, given by
+        its factors; a row whose delta is not finite is skipped."""
+        step = beta_c * np.asarray(delta, dtype=float)
+        finite = np.isfinite(step)
+        if not finite.all():
+            warnings.warn("non-finite TD error; critic step skipped")
+            step = np.where(finite, step, 0.0)
+        moved = self.xs[:, self.steps] = step[:, None] * x
+        self.d_zs[:, self.steps] = d_z
+        self.b_hidden += step[:, None] * d_z
+        self.w_value += step[:, None] * h
+        self.b_value += step
+        self.steps += 1
+        # The step moves the pre-activations at the last point by (x_last · step x + step) d_z.
+        self._z += (_dots(self._x, moved) + step)[:, None] * d_z
 
 
-def _clipped(x: float, bound: float) -> float:
-    """x clipped into [-bound, bound]."""
-    return float(min(max(x, -bound), bound))
+def _clip_scale(norm, bound: float):
+    """Per-row factors that scale gradients of L2 norm `norm` down to at most `bound`."""
+    return bound / np.maximum(norm, bound) if math.isfinite(bound) else np.ones_like(norm)
 
 
-def _clip_norm(grads, max_norm: float) -> bool:
-    """Scale a gradient container down to max_norm (L2) in place; True if it was scaled."""
-    if not math.isfinite(max_norm):
-        return False
-    norm = math.sqrt(sum(grads.sums_of_squares()))
-    if norm > max_norm:
-        grads.flat *= max_norm / norm
-        return True
-    return False
+def _dots(a, b):
+    """Each row's dot product."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _squares(a):
+    """Each row's sum of squares."""
+    return _dots(a, a)
+
+
+def _score_norm(states, h, d_z, d_mu, d_log_sigma):
+    """Each row's L2 norm of its policy score, from the score's factors
+    (`nets.log_policy_factors`, with h the hidden features): |x ⊗ d| = |x| |d|."""
+    return np.sqrt((_squares(states) + 1.0) * _squares(d_z) + (_squares(h) + 1.0) * _squares(d_mu)
+                   + _squares(d_log_sigma))
 
 
 class ParameterStore:
@@ -192,126 +260,39 @@ class TrainResult:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _worker(worker_id: int, cfg: TrainConfig, env_factory, clips: list[int]):
-    """Coroutine: yields ("sync",), ("push", d_policy, d_critic, steps), ("episode", record).
-
-    Counts the policy and critic gradients it clips in `clips[0]` and `clips[1]`.
-    """
-    rng = np.random.default_rng([cfg.seed, worker_id])
-    episode_index = 0
-
-    def new_episode():
-        nonlocal episode_index
-        env = env_factory(int(rng.integers(2**31)))
-        episode_index += 1
-        return env
-
-    env = new_episode()
-    state_vec = env.state.vector()
+def _act(env, policy: PolicyParams, states: np.ndarray, rng: np.random.Generator):
+    """One forward pass and one draw for all rows: (forward, draws, draws clipped into the corridors)."""
+    forward = policy_forward(policy, states)
+    draws = policy_draw(policy, states, rng, forward)
     lo, hi = env.bounds()
-    policy, critic, k = yield ("sync",)
-    forward = policy_forward(policy, state_vec)
-    draw = policy_draw(policy, state_vec, rng, forward)
-    action = draw.clip(lo, hi)
-    # Gradient storage: one slot per step of a push window where the window
-    # is walked backward at the push, else one slot that each step reuses.
-    slots = cfg.update_period if cfg.advantage == ADVANTAGE_RETURN else 1
-    scores = [policy.zeros_like() for _ in range(slots)]
-    grads_q = [critic.zeros_like() for _ in range(slots)]
-    running_trace = 0.0
-    episode_reward = 0.0
-    episode_steps = 0
-    episode_t0 = time.perf_counter()
-
-    while True:
-        d_policy = policy.zeros_like()
-        d_critic = critic.zeros_like()
-        window = []
-        for i in range(cfg.update_period):
-            transition = env.step(action)
-            episode_reward += transition.reward
-            episode_steps += 1
-            next_vec = transition.next_state.vector()
-            if transition.terminal:
-                next_action = np.zeros_like(np.atleast_1d(action))
-                q_next = 0.0
-            else:
-                lo, hi = env.bounds()
-                next_forward = policy_forward(policy, next_vec)
-                next_draw = policy_draw(policy, next_vec, rng, next_forward)
-                next_action = next_draw.clip(lo, hi)
-                q_next = critic_value(critic, next_vec, next_action)
-            q_cur, grad_q = critic_gradient(critic, state_vec, action, out=grads_q[i % slots])
-            delta = td_error(transition.reward, q_next, q_cur, cfg.discount)
-            score = log_policy_gradient(policy, state_vec, draw, forward, out=scores[i % slots])
-            clips[0] += _clip_norm(score, cfg.grad_clip)
-            clips[1] += _clip_norm(grad_q, cfg.grad_clip)
-            delta_clipped = _clipped(delta, cfg.grad_clip)
-            # The critic refines locally from the TD error every step; actor
-            # gradients are only generated here and applied at the push, which
-            # keeps the policy signal at the (return - Q) accumulation.
-            critic_update(critic, delta_clipped, grad_q, cfg.beta_c)
-            if cfg.advantage == ADVANTAGE_TRACE:
-                running_trace = accumulate_return(transition.reward, running_trace, cfg.discount)
-                adv = _clipped(running_trace - q_cur, cfg.grad_clip)
-                d_policy.add_scaled(score, adv)
-                d_critic.add_scaled(grad_q, -2.0 * adv)
-            else:
-                window.append((score, grad_q, transition.reward, q_cur, q_next, transition.terminal))
-            if transition.terminal:
-                wall_ms = (time.perf_counter() - episode_t0) * 1e3
-                yield ("episode", worker_id, episode_steps, episode_reward, wall_ms)
-                env = new_episode()
-                running_trace = 0.0
-                episode_reward = 0.0
-                episode_steps = 0
-                episode_t0 = time.perf_counter()
-                state_vec = env.state.vector()
-                lo, hi = env.bounds()
-                forward = policy_forward(policy, state_vec)
-                draw = policy_draw(policy, state_vec, rng, forward)
-                action = draw.clip(lo, hi)
-            else:
-                state_vec, action, draw, forward = next_vec, next_action, next_draw, next_forward
-        # Multi-step returns over the window: walk backward, bootstrapping the
-        # tail from the critic and restarting at episode boundaries.
-        running = 0.0
-        for i, (score, grad_q, reward, q_cur, q_next, terminal) in enumerate(reversed(window)):
-            if terminal:
-                running = 0.0
-            elif i == 0:
-                running = q_next
-            running = accumulate_return(reward, running, cfg.discount)
-            advantage = running - q_cur
-            if math.isfinite(advantage):
-                adv = _clipped(advantage, cfg.grad_clip)
-                d_policy.add_scaled(score, adv)
-                d_critic.add_scaled(grad_q, -2.0 * adv)
-        k = yield ("push", d_policy, d_critic, cfg.update_period)
-        if k > cfg.k_max:
-            return
-        policy, critic, _ = yield ("sync",)
-        # The draw carried into the next window is scored under the synced policy.
-        forward = policy_forward(policy, state_vec)
+    return forward, draws, draws.clip(np.reshape(lo, draws.shape), np.reshape(hi, draws.shape))
 
 
-def _run_training(env_factory, state_dim: int, action_dim: int, cfg: TrainConfig,
-                  interleaving: list[tuple[str, int]] | None = None) -> TrainResult:
-    """Drive the workers; with `interleaving` given, replay that exact order."""
+def _run_training(env_cls, scenario_sampler, cfg: TrainConfig) -> TrainResult:
+    """Train on `cfg.n_workers` rows of `env_cls` episodes stepped together."""
     rng = np.random.default_rng([cfg.seed, 0xAC])
     init_rng = np.random.default_rng([cfg.seed, 0x1D])
-    policy = init_policy(state_dim, action_dim, init_rng, hidden=cfg.policy_hidden)
-    critic_dim = state_dim + action_dim
-    critic = init_critic(critic_dim, init_rng, hidden=cfg.critic_hidden)
-    store = ParameterStore(policy, critic, cfg)
+    n, period, gc = cfg.n_workers, cfg.update_period, cfg.grad_clip
 
-    workers = {}
-    pending = {}
-    clips = [0, 0]
-    for wid in range(cfg.n_workers):
-        gen = _worker(wid, cfg, env_factory, clips)
-        workers[wid] = gen
-        pending[wid] = gen.send(None)  # first request, always a sync
+    def scenarios(count: int):
+        return [scenario_sampler(int(seed)) for seed in rng.integers(2**31, size=count)]
+
+    env = env_cls(scenarios(n), cfg.reward_mode)
+    policy = init_policy(env.state_dim, env.action_dim, init_rng, hidden=cfg.policy_hidden)
+    critic = init_critic(env.state_dim + env.action_dim, init_rng, hidden=cfg.critic_hidden)
+    store = ParameterStore(policy, critic, cfg)
+    critics = _RowCritics(n, period, critic)
+
+    # One window, per step: the rows' states, forward passes and draws (what their policy scores
+    # are taken from), the factors of their critic gradients, and their TD terms.
+    window_states = np.zeros((period, n, env.state_dim))
+    window_h = np.zeros((period, n, cfg.policy_hidden))
+    window_mu, window_draws = np.zeros((2, period, n, env.action_dim))
+    window_x = np.zeros((period, n, env.state_dim + env.action_dim))
+    window_hc, window_dzc = np.zeros((2, period, n, cfg.critic_hidden))
+    rewards, q_cur, q_next, advantage, critic_scale = np.zeros((5, period, n))
+    terminal = np.zeros((period, n), dtype=bool)
+    d_policy, d_critic = policy.zeros_like((n,)), critic.zeros_like((n,))
 
     episodes: list[EpisodeRecord] = []
     reward_history: list[float] = []
@@ -323,29 +304,21 @@ def _run_training(env_factory, state_dim: int, action_dim: int, cfg: TrainConfig
     # magnitude, as on exact-cost runs, it has no effect.
     noise = 1e-9
     strikes = 0
-    replay_ops = iter(interleaving) if interleaving is not None else None
+    policy_clips = critic_clips = 0
+    running_trace = np.zeros(n)
+    episode_reward = np.zeros(n)
+    episode_steps = np.zeros(n, dtype=int)
+    episode_t0 = np.full(n, time.perf_counter())
     t0 = time.perf_counter()
 
-    def advance(wid, response):
-        """Send response; run the worker through non-store yields to its next store op."""
-        gen = workers[wid]
-        try:
-            req = gen.send(response)
-            while req[0] == "episode":
-                _record_episode(req)
-                req = gen.send(None)
-            pending[wid] = req
-        except StopIteration:
-            del workers[wid]
-            pending.pop(wid, None)
-
-    def _record_episode(req):
+    def record_episode(row: int):
         nonlocal best_window, noise, strikes
-        _, wid, steps, total_reward, wall_ms = req
+        total_reward = float(episode_reward[row])
         reward_history.append(total_reward)
         window = reward_history[-_MOVING_WINDOW:]
         moving = float(np.mean(window))
-        episodes.append(EpisodeRecord(len(episodes), wid, steps, total_reward, moving, wall_ms))
+        wall_ms = (time.perf_counter() - episode_t0[row]) * 1e3
+        episodes.append(EpisodeRecord(len(episodes), row, int(episode_steps[row]), total_reward, moving, wall_ms))
         if len(reward_history) % _MOVING_WINDOW == 0:
             if len(reward_history) == _MOVING_WINDOW:
                 noise = max(float(np.std(window)), noise)
@@ -362,25 +335,76 @@ def _run_training(env_factory, state_dim: int, action_dim: int, cfg: TrainConfig
             else:
                 strikes = 0
 
-    while workers:
-        if replay_ops is not None:
-            try:
-                op, wid = next(replay_ops)
-            except StopIteration:
-                break
-            if wid not in workers:
-                raise ValueError("interleaving log does not match worker state")
-        else:
-            wid = int(rng.choice(sorted(workers)))
-        req = pending[wid]
-        if req[0] == "sync":
-            advance(wid, store.sync(wid))
-        elif req[0] == "push":
-            _, d_policy, d_critic, steps = req
-            k = store.push(wid, d_policy, d_critic, steps)
-            advance(wid, k)
-        else:  # pragma: no cover - workers only park on store ops
-            raise RuntimeError(f"unexpected request {req[0]}")
+    states = env.state.vector()
+    while True:
+        for row in range(n):  # each row syncs, and all receive the same parameters
+            policy, synced, _ = store.sync(row)
+        critics.sync(synced)
+        # Every draw is made, and scored, under the policy synced at its window's start.
+        forward, draws, actions = _act(env, policy, states, rng)
+        q_factors = critics.factors(states, actions)
+        for i in range(period):
+            window_states[i], window_h[i], window_mu[i], window_draws[i] = states, forward[0], forward[1], draws
+            q_cur[i], x, h, d_z = q_factors
+            window_x[i], window_hc[i], window_dzc[i] = x, h, d_z
+            # The critic gradient's norm from its factors: |x ⊗ d_z| = |x| |d_z|.
+            norm = np.sqrt((_squares(x) + 1.0) * _squares(d_z) + _squares(h) + 1.0)
+            critic_scale[i] = _clip_scale(norm, gc)
+            critic_clips += int((norm > gc).sum())
+
+            transition = env.step(actions)
+            rewards[i], terminal[i] = transition.reward, transition.terminal
+            episode_reward += transition.reward
+            episode_steps += 1
+            if cfg.advantage == ADVANTAGE_TRACE:
+                running_trace = accumulate_return(rewards[i], running_trace, cfg.discount)
+                advantage[i] = running_trace - q_cur[i]
+            ended = np.flatnonzero(terminal[i])
+            if ended.size:
+                for row in ended:
+                    record_episode(int(row))
+                env.reset(ended, scenarios(ended.size))
+                running_trace[ended] = episode_reward[ended] = episode_steps[ended] = 0
+                episode_t0[ended] = time.perf_counter()
+            states = env.state.vector()
+            forward, draws, actions = _act(env, policy, states, rng)
+            q_next[i] = np.where(terminal[i], 0.0, critics.factors(states, actions)[0])
+            delta = td_error(rewards[i], q_next[i], q_cur[i], cfg.discount)
+            # Each row's critic refines from its own TD error every step; actor
+            # gradients are only generated here and applied at the push, which
+            # keeps the policy signal at the (return - Q) accumulation.
+            critics.update(np.clip(delta, -gc, gc) * critic_scale[i], x, h, d_z, cfg.beta_c)
+            q_factors = critics.last()
+
+        if cfg.advantage == ADVANTAGE_RETURN:
+            # Multi-step returns over the window: walk backward, bootstrapping
+            # the tail from the critic and restarting at episode boundaries.
+            running = q_next[-1]
+            for i in reversed(range(period)):
+                running = accumulate_return(rewards[i], np.where(terminal[i], 0.0, running), cfg.discount)
+                advantage[i] = running - q_cur[i]
+        weight = np.where(np.isfinite(advantage), np.clip(advantage, -gc, gc), 0.0)
+        window_dz, window_dmu, window_dls = log_policy_factors(policy, window_draws, (window_h, window_mu, forward[2]))
+        norm = _score_norm(window_states, window_h, window_dz, window_dmu, window_dls)
+        policy_clips += int((norm > gc).sum())
+        # Each row's pushes: the weighted sums of its window's gradients, one matrix product per field.
+        a_p = weight * _clip_scale(norm, gc)
+        np.matmul((window_states * a_p[..., None]).transpose(1, 2, 0), window_dz.transpose(1, 0, 2),
+                  out=d_policy.w_hidden)
+        np.einsum("wr,wrh->rh", a_p, window_dz, out=d_policy.b_hidden)
+        np.matmul((window_h * a_p[..., None]).transpose(1, 2, 0), window_dmu.transpose(1, 0, 2), out=d_policy.w_mu)
+        np.einsum("wr,wra->ra", a_p, window_dmu, out=d_policy.b_mu)
+        np.einsum("wr,wra->ra", a_p, window_dls, out=d_policy.log_sigma)
+        a_c = -2.0 * weight * critic_scale
+        np.matmul((window_x * a_c[..., None]).transpose(1, 2, 0), window_dzc.transpose(1, 0, 2),
+                  out=d_critic.w_hidden)
+        np.einsum("wr,wrh->rh", a_c, window_dzc, out=d_critic.b_hidden)
+        np.einsum("wr,wrh->rh", a_c, window_hc, out=d_critic.w_value)
+        np.sum(a_c, axis=0, out=d_critic._b_value)
+        # The rows push in order, and the training ends at the first push past the budget.
+        if any(store.push(row, dp, dc, period) > cfg.k_max
+               for row, (dp, dc) in enumerate(zip(d_policy.rows(), d_critic.rows()))):
+            break
 
     return TrainResult(
         policy=store.policy,
@@ -389,8 +413,8 @@ def _run_training(env_factory, state_dim: int, action_dim: int, cfg: TrainConfig
         interleaving=list(store.log),
         global_steps=store.k,
         wall_seconds=time.perf_counter() - t0,
-        policy_clips=clips[0],
-        critic_clips=clips[1],
+        policy_clips=policy_clips,
+        critic_clips=critic_clips,
     )
 
 
@@ -398,32 +422,31 @@ def train_sca(scenario_sampler, cfg: TrainConfig) -> TrainResult:
     """Train the full-state smart charging policy on sampled scenarios.
 
     scenario_sampler maps an integer seed to a Scenario; every episode uses
-    a fresh draw. All scenarios must share the fleet size.
+    a fresh draw. All scenarios must share the fleet size, horizon and
+    price model.
     """
-    probe = scenario_sampler(0)
-    state_dim = probe.n_evs + 1
-    action_dim = probe.n_evs
-    env_factory = lambda seed: ChargingEnv(scenario_sampler(seed), cfg.reward_mode)
-    return _run_training(env_factory, state_dim, action_dim, cfg)
+    return _run_training(ChargingEnv, scenario_sampler, cfg)
 
 
 def train_calc_stage1(scenario_sampler, cfg: TrainConfig) -> TrainResult:
     """Train the aggregate (reduced two-dimensional state) charging policy."""
-    env_factory = lambda seed: AggregateEnv(scenario_sampler(seed), cfg.reward_mode)
-    return _run_training(env_factory, AggregateEnv.state_dim, AggregateEnv.action_dim, cfg)
+    return _run_training(AggregateEnv, scenario_sampler, cfg)
 
 
-def replay_training(env_factory_or_sampler, state_dim: int, action_dim: int, cfg: TrainConfig,
+def replay_training(scenario_sampler, state_dim: int, action_dim: int, cfg: TrainConfig,
                     interleaving: list[tuple[str, int]], aggregate: bool = False) -> TrainResult:
-    """Re-run a training under a recorded interleaving log.
+    """Re-run a training and check it against its recorded interleaving log.
 
-    Returns parameters that are bit-identical to the original run's.
+    Returns parameters that are bit-identical to the original run's; raises
+    ValueError where the log or the dimensions do not match the training.
     """
-    if aggregate:
-        env_factory = lambda seed: AggregateEnv(env_factory_or_sampler(seed), cfg.reward_mode)
-    else:
-        env_factory = lambda seed: ChargingEnv(env_factory_or_sampler(seed), cfg.reward_mode)
-    return _run_training(env_factory, state_dim, action_dim, cfg, interleaving=interleaving)
+    result = _run_training(AggregateEnv if aggregate else ChargingEnv, scenario_sampler, cfg)
+    if result.interleaving != list(interleaving):
+        raise ValueError("interleaving log does not match the training")
+    if result.policy.w_hidden.shape[0] != state_dim or result.policy.b_mu.size != action_dim:
+        raise ValueError(f"training has state and action dimensions {result.policy.w_hidden.shape[0]} and "
+                         f"{result.policy.b_mu.size}, not {state_dim} and {action_dim}")
+    return result
 
 
 def sca_schedule(policy: PolicyParams, scenario: Scenario, reward_mode: str = REWARD_EXACT) -> ChargingSchedule:
@@ -454,9 +477,13 @@ def calc_aggregate_series(policy: PolicyParams, scenario: Scenario, reward_mode:
     The aggregate env is stepped with the policy mean to reach each state,
     but the series records what the policy asks for, not what the env
     committed after its laxity clamp and earliest-deadline-first split;
-    stage 2 would otherwise only reproduce the clamped rollout.
+    stage 2 would otherwise only reproduce the clamped rollout. The series
+    depends on the states alone, so the rollout bills exact costs whatever
+    the (checked) `reward_mode`, and skips the flat-regret term.
     """
-    env = AggregateEnv(scenario, reward_mode)
+    if reward_mode not in REWARD_MODES:
+        raise ValueError(f"unknown reward mode {reward_mode!r}")
+    env = AggregateEnv(scenario)
     series = np.zeros(scenario.horizon)
     while not env.done:
         t = env.t

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import EVProfile
+from .model import EVArrays
 
 # Named EV types: (b_max kWh/slot, capacity kWh).
 EV_TYPES = {
@@ -156,7 +156,7 @@ class FleetConfig:
 
 @dataclass(frozen=True)
 class FleetSample:
-    evs: tuple[EVProfile, ...]
+    evs: EVArrays
     truncation_count: int  # demands cut down to what the dwell can deliver
 
 
@@ -173,28 +173,13 @@ def sample_fleet(cfg: FleetConfig, seed: int) -> FleetSample:
     socs = soc_dist.sample(rng, cfg.n_evs)
     dwells = dwell_dist.sample(rng, cfg.n_evs)
 
-    evs = []
-    truncations = 0
-    for i in range(cfg.n_evs):
-        t_arr = int(arrivals[i])
-        t_dep = min(int(t_arr + dwells[i] - 1), cfg.horizon)
-        demand = capacity * (1.0 - socs[i])
-        deliverable = b_max * (t_dep - t_arr + 1)
-        if demand > deliverable:
-            demand = deliverable
-            truncations += 1
-        evs.append(
-            EVProfile(
-                id=i + 1,
-                t_arr=t_arr,
-                t_dep=t_dep,
-                demand_kwh=demand,
-                b_max=b_max,
-                capacity_kwh=capacity,
-                soc_init=float(socs[i]),
-            )
-        )
-    return FleetSample(evs=tuple(evs), truncation_count=truncations)
+    t_dep = np.minimum(arrivals + dwells - 1, cfg.horizon)
+    demand = capacity * (1.0 - socs)
+    deliverable = b_max * (t_dep - arrivals + 1)
+    truncated = demand > deliverable
+    evs = EVArrays(arrivals, t_dep, np.where(truncated, deliverable, demand), np.full(cfg.n_evs, b_max),
+                   np.full(cfg.n_evs, capacity), socs)
+    return FleetSample(evs=evs, truncation_count=int(truncated.sum()))
 
 
 def load_base_series(path, expected_horizon: int) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Environment dynamics tests: per-EV and aggregate views."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from evchargelab.harness import benchmark_spec, build_scenario
+from evchargelab.harness import benchmark_spec, build_scenario, make_sampler
 from evchargelab.model import laxity_corridor, slot_cost
 from evchargelab.rl.env import (
     REWARD_EXACT,
+    REWARD_MODES,
     REWARD_REGRET,
     AggregateEnv,
     ChargingEnv,
@@ -280,3 +283,56 @@ class TestCorridorMatchesPerEvFormulas:
                 want = env.residuals - reference_allocation(env, budget)
                 env.step(action)
                 assert env.residuals.tobytes() == want.tobytes()
+
+
+class TestRowsMatchSingleEnvs:
+    """An env on k scenarios steps as k one-scenario envs given the same actions and resets."""
+
+    ROWS = 3
+
+    def run(self, env_cls, reward_mode, actions_of, rng):
+        sampler = make_sampler(replace(benchmark_spec(), n_evs=8))
+        seeds = iter(range(1, 1000))
+        scenarios = [sampler(next(seeds)) for _ in range(self.ROWS)]
+        batch = env_cls(scenarios, reward_mode)
+        singles = [env_cls(sc, reward_mode) for sc in scenarios]
+        resets = 0
+        for _ in range(150):
+            lo, hi = batch.bounds()
+            for row, one in enumerate(singles):
+                np.testing.assert_allclose(batch.state.vector()[row], one.state.vector(), rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(lo[row], one.bounds()[0], rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(hi[row], one.bounds()[1], rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(batch.residuals[row], one.residuals, rtol=1e-12, atol=1e-12)
+                assert batch.t[row] == one.t
+            actions = actions_of(rng)
+            transition = batch.step(actions)
+            for row, one in enumerate(singles):
+                want = one.step(actions[row])
+                np.testing.assert_allclose(transition.action[row], want.action, rtol=1e-12, atol=1e-12)
+                assert transition.reward[row] == pytest.approx(want.reward, rel=1e-12, abs=1e-12)
+                assert transition.terminal[row] == want.terminal
+            ended = np.flatnonzero(transition.terminal)
+            if ended.size:
+                new = [sampler(next(seeds)) for _ in ended]
+                batch.reset(ended, new)
+                for row, sc in zip(ended, new):
+                    singles[row] = env_cls(sc, reward_mode)
+                resets += ended.size
+        assert resets >= self.ROWS  # every row ran into a new episode
+
+    def test_charging_env(self, rng):
+        self.run(ChargingEnv, REWARD_EXACT, lambda rng: rng.uniform(-1.0, 4.0, size=(self.ROWS, 8)), rng)
+
+    def test_aggregate_env(self, rng):
+        for mode in REWARD_MODES:
+            self.run(AggregateEnv, mode, lambda rng: rng.uniform(-0.5, 3.0, size=self.ROWS), rng)
+
+    def test_scenarios_must_share_fleet_size_horizon_and_price(self):
+        sampler = make_sampler(replace(benchmark_spec(), n_evs=8))
+        other = make_sampler(replace(benchmark_spec(), n_evs=9))
+        with pytest.raises(ValueError, match="share"):
+            ChargingEnv([sampler(1), other(2)])
+        env = AggregateEnv([sampler(1), sampler(2)])
+        with pytest.raises(ValueError, match="share"):
+            env.reset(np.array([0]), [other(3)])

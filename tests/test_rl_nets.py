@@ -13,6 +13,7 @@ from evchargelab.rl.nets import (
     init_critic,
     init_policy,
     log_policy_density,
+    log_policy_factors,
     log_policy_gradient,
     policy_draw,
     policy_forward,
@@ -257,17 +258,6 @@ def reference_critic_gradient(params, state, action):
     return float(h @ params.w_value + params.b_value), [np.outer(x, d_z), d_z, h], 1.0
 
 
-def reference_clip_norm(arrays, b_value, max_norm):
-    """Per-array sum of squares and rescale; b_value (or None) is the critic's scalar."""
-    total = sum(float((a * a).sum()) for a in arrays) + (b_value**2 if b_value is not None else 0.0)
-    norm = np.sqrt(total)
-    if norm > max_norm:
-        scale = max_norm / norm
-        arrays = [a * scale for a in arrays]
-        b_value = b_value * scale if b_value is not None else None
-    return arrays, b_value
-
-
 def same_bits(a, b):
     """Equal to the bit, so that +0.0 and -0.0 differ."""
     a, b = np.asarray(a), np.asarray(b)
@@ -319,22 +309,20 @@ class TestFlatKernelsMatchPerArrayReferences:
                 assert all(same_bits(a, b) for a, b in zip(out.arrays(), want))
                 assert out.b_value == want_b
 
-    def test_clip_norm_binding_and_not(self, rng):
-        from evchargelab.rl.train import _clip_norm
+    def test_score_norms_from_rank1_factors(self, rng):
+        # |x ⊗ d| = |x| |d|: the norms the training clips by, without writing the outer products out.
+        from evchargelab.rl.train import _score_norm
 
         for state_dim, action_dim, hidden in self.DIMS:
-            for max_norm in (1e-3, 1.0, 1e6, np.inf):
-                policy, critic, state = random_case(rng, state_dim, action_dim, hidden)
-                action = policy_draw(policy, state, rng)
-                score = log_policy_gradient(policy, state, action)
-                want, _ = reference_clip_norm(list(score.arrays()), None, max_norm)
-                assert _clip_norm(score, max_norm) == (max_norm < 1e6)
-                assert all(same_bits(a, b) for a, b in zip(score.arrays(), want))
-                _, grads = critic_gradient(critic, state, np.abs(action))
-                want, want_b = reference_clip_norm(list(grads.arrays()), grads.b_value, max_norm)
-                assert _clip_norm(grads, max_norm) == (max_norm < 1e6)
-                assert all(same_bits(a, b) for a, b in zip(grads.arrays(), want))
-                assert grads.b_value == want_b and type(grads.b_value) is float
+            for _ in range(10):
+                policy, _, _ = random_case(rng, state_dim, action_dim, hidden)
+                states = rng.normal(size=(4, state_dim)) * rng.choice([1e-3, 1.0, 50.0])
+                states[rng.integers(4), rng.integers(state_dim)] = -0.0
+                forward = policy_forward(policy, states)
+                draws = policy_draw(policy, states, rng, forward)
+                norm = _score_norm(states, forward[0], *log_policy_factors(policy, draws, forward))
+                want = np.sqrt((log_policy_gradient(policy, states, draws).flat ** 2).sum(axis=-1))
+                np.testing.assert_allclose(norm, want, rtol=1e-12, atol=0.0)
 
     def test_add_scaled_and_copy(self, rng):
         for state_dim, action_dim, hidden in self.DIMS:
@@ -393,3 +381,54 @@ class TestFlatBuffer:
             loaded = pickle.loads(pickle.dumps(params))
             assert same_bits(loaded.flat, params.flat)
             assert all(np.shares_memory(a, loaded.flat) for a in loaded.arrays())
+
+
+class TestRows:
+    """A leading row axis gives, row by row, what the one-row functions give."""
+
+    DIMS = ((41, 40, 200), (2, 1, 200), (3, 2, 5))
+    ROWS = 4
+
+    def test_policy_forward_draw_and_gradient(self, rng):
+        for state_dim, action_dim, hidden in self.DIMS:
+            policy, _, _ = random_case(rng, state_dim, action_dim, hidden)
+            states = rng.normal(size=(self.ROWS, state_dim))
+            forward = policy_forward(policy, states)
+            draws = policy_draw(policy, states, np.random.default_rng(5), forward)
+            grads = log_policy_gradient(policy, states, draws, forward)
+            assert grads.flat.shape == (self.ROWS, policy.flat.size)
+            one_rng = np.random.default_rng(5)
+            for row in range(self.ROWS):
+                h, mu, log_sigma = policy_forward(policy, states[row])
+                np.testing.assert_allclose(forward[0][row], h, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(forward[1][row], mu, rtol=1e-12, atol=1e-12)
+                assert same_bits(forward[2], log_sigma)
+                draw = policy_draw(policy, states[row], one_rng)
+                np.testing.assert_allclose(draws[row], draw, rtol=1e-12, atol=1e-12)
+                # From the batch's forward pass: 1/sigma^2 (up to e^10) would magnify its last-bit differences.
+                row_forward = (forward[0][row], forward[1][row], forward[2])
+                want = log_policy_gradient(policy, states[row], draws[row], row_forward)
+                np.testing.assert_allclose(grads.rows()[row].flat, want.flat, rtol=1e-12, atol=1e-12)
+
+    def test_critic_value_and_gradient(self, rng):
+        for state_dim, action_dim, hidden in self.DIMS:
+            _, critic, _ = random_case(rng, state_dim, action_dim, hidden)
+            states = rng.normal(size=(self.ROWS, state_dim))
+            actions = np.abs(rng.normal(size=(self.ROWS, action_dim)))
+            q, grads = critic_gradient(critic, states, actions)
+            assert grads.flat.shape == (self.ROWS, critic.flat.size)
+            np.testing.assert_allclose(critic_value(critic, states, actions), q, rtol=1e-12, atol=1e-12)
+            for row, grad in enumerate(grads.rows()):
+                want_q, want = critic_gradient(critic, states[row], actions[row])
+                assert q[row] == pytest.approx(want_q, rel=1e-12, abs=1e-12)
+                np.testing.assert_allclose(grad.flat, want.flat, rtol=1e-12, atol=1e-12)
+
+    def test_row_buffers_are_views(self, rng):
+        critic = init_critic(3, rng, hidden=4)
+        grads = critic.zeros_like((3,))
+        assert grads.w_hidden.shape == (3, 3, 4) and grads._b_value.shape == (3,)
+        assert all(np.shares_memory(a, grads.flat) for a in grads.arrays())
+        row = grads.rows()[1]
+        row.flat[:] = 7.0
+        assert np.all(grads.w_hidden[1] == 7.0) and not grads.w_hidden[0].any()
+        assert row.b_value == 7.0

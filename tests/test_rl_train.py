@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from evchargelab.model import horizon_cost, validate_schedule
-from evchargelab.rl.nets import CriticParams, PolicyParams, init_critic, init_policy
+from evchargelab.rl.nets import (
+    CriticParams,
+    PolicyParams,
+    critic_gradient,
+    critic_value,
+    init_critic,
+    init_policy,
+    log_policy_gradient,
+)
 from evchargelab.rl.serialize import (
     config_hash,
     load_critic,
@@ -18,11 +26,11 @@ from evchargelab.rl.train import (
     TrainConfig,
     TrainingDiverged,
     TrainResult,
+    _RowCritics,
     _run_training,
     accumulate_return,
     calc_aggregate_series,
     calc_schedule,
-    critic_update,
     replay_training,
     sca_schedule,
     td_error,
@@ -48,6 +56,46 @@ def scalar_critic(theta=1.0):
     )
 
 
+def row_critics(theta=1.0):
+    """One row critic on the scalar critic, evaluated once (an update moves its last point)."""
+    critics = _RowCritics(1, 2, scalar_critic(theta))
+    critics.factors(np.zeros((1, 1)), np.zeros((1, 1)))
+    return critics
+
+
+def scalar_factors(h):
+    """Gradient factors (x, h, d_z) of the scalar critic whose w_value part is h."""
+    return np.zeros((1, 2)), np.array([[h]]), np.zeros((1, 1))
+
+
+class TestRowCritics:
+    def test_match_the_critics_written_out(self, rng):
+        # Each row's critic, kept as the synced one plus its steps' factors, evaluates as the
+        # critic with every step applied to its arrays.
+        for state_dim, action_dim, hidden, period in ((41, 40, 100, 10), (2, 1, 100, 20), (3, 2, 5, 3)):
+            critic = init_critic(state_dim + action_dim, rng, hidden=hidden)
+            critic.b_hidden[:] = rng.normal(size=hidden)
+            critics = _RowCritics(4, period, critic)
+            written = [critic.copy() for _ in range(4)]
+            for _ in range(period):
+                states, actions = rng.normal(size=(4, state_dim)), np.abs(rng.normal(size=(4, action_dim)))
+                q, x, h, d_z = critics.factors(states, actions)
+                for row, one in enumerate(written):
+                    want_q, grad = critic_gradient(one, states[row], actions[row])
+                    assert q[row] == pytest.approx(want_q, rel=1e-10, abs=1e-12)
+                    np.testing.assert_allclose(np.outer(x[row], d_z[row]), grad.w_hidden, rtol=1e-10, atol=1e-12)
+                    np.testing.assert_allclose(h[row], grad.w_value, rtol=1e-10, atol=1e-12)
+                delta = rng.normal(size=4)
+                critics.update(delta, x, h, d_z, 0.05)
+                for row, one in enumerate(written):
+                    _, grad = critic_gradient(one, states[row], actions[row])
+                    one.add_scaled(grad, 0.05 * delta[row])
+                # After the update, `last` is the updated critics at the same point.
+                q, _, h, _ = critics.last()
+                for row, one in enumerate(written):
+                    assert q[row] == pytest.approx(critic_value(one, states[row], actions[row]), rel=1e-10, abs=1e-12)
+
+
 class TestScalarUpdates:
     def test_td_error_hand_value(self):
         assert td_error(1.0, 0.5, 0.5, 0.01) == pytest.approx(0.505)
@@ -71,19 +119,18 @@ class TestScalarUpdates:
             running = accumulate_return(1.0, running, 0.5)
         assert running == pytest.approx(2.0)
 
+    # A row critic's step: its w_value moves by beta_c * delta * h (h = 3 here).
     def test_critic_update_scalar(self):
-        params = scalar_critic(theta=1.0)
-        grad = scalar_critic(theta=3.0)
-        grad.b_value = 0.0
-        critic_update(params, delta=2.0, grad_q=grad, beta_c=0.1)
-        assert params.w_value[0] == pytest.approx(1.6)
+        critics = row_critics(theta=1.0)
+        critics.update(np.array([2.0]), *scalar_factors(h=3.0), beta_c=0.1)
+        assert critics.w_value[0, 0] == pytest.approx(1.6)
 
     def test_critic_update_noops(self):
-        params = scalar_critic(theta=1.0)
-        critic_update(params, 0.0, scalar_critic(theta=3.0), beta_c=0.5)
-        assert params.w_value[0] == 1.0
-        critic_update(params, 2.0, scalar_critic(theta=3.0), beta_c=0.0)
-        assert params.w_value[0] == 1.0
+        critics = row_critics(theta=1.0)
+        critics.update(np.array([0.0]), *scalar_factors(h=3.0), beta_c=0.5)
+        assert critics.w_value[0, 0] == 1.0
+        critics.update(np.array([2.0]), *scalar_factors(h=3.0), beta_c=0.0)
+        assert critics.w_value[0, 0] == 1.0
 
     # The actor step is the store's push: policy += beta_a * accumulated score.
     def test_actor_update_scalar(self):
@@ -97,10 +144,10 @@ class TestScalarUpdates:
         assert store.policy.w_mu[0, 0] == 0.3
 
     def test_non_finite_delta_skipped_with_warning(self):
-        params = scalar_critic(theta=0.3)
+        critics = row_critics(theta=0.3)
         with pytest.warns(UserWarning):
-            critic_update(params, float("nan"), scalar_critic(theta=2.0), beta_c=0.5)
-        assert params.w_value[0] == 0.3
+            critics.update(np.array([float("nan")]), *scalar_factors(h=2.0), beta_c=0.5)
+        assert critics.w_value[0, 0] == 0.3 and critics.b_value[0] == 0.0
 
 
 class TestTrainConfig:
@@ -283,33 +330,134 @@ class TestTraining:
             assert result.policy.w_hidden.shape[0] == 2
 
 
+class TestLockstep:
+    def test_interleaving_is_a_fixed_round_robin(self):
+        # Every window, all rows sync and then push in row order; the first push past k_max ends it.
+        scn = random_feasible_scenario(np.random.default_rng(47))
+        for n_workers, period, k_max in ((3, 4, 250), (3, 4, 252), (1, 20, 250)):
+            result = train_sca(lambda seed: scn, tiny_cfg(k_max=k_max, n_workers=n_workers, update_period=period))
+            assert k_max < result.global_steps <= k_max + period
+            pushes = result.global_steps // period
+            windows, last = divmod(pushes - 1, n_workers)
+            rows = range(n_workers)
+            rounds = ([("sync", r) for r in rows] + [("push", r) for r in rows]) * windows
+            assert result.interleaving == rounds + [("sync", r) for r in rows] + [("push", r) for r in range(last + 1)]
+
+    def test_replay_checks_the_log(self):
+        scn = random_feasible_scenario(np.random.default_rng(48))
+        cfg = tiny_cfg(k_max=100, n_workers=2)
+        result = train_sca(lambda seed: scn, cfg)
+        with pytest.raises(ValueError, match="interleaving"):
+            replay_training(lambda seed: scn, scn.n_evs + 1, scn.n_evs, cfg, result.interleaving[:-1])
+        with pytest.raises(ValueError, match="dimensions"):
+            replay_training(lambda seed: scn, scn.n_evs + 2, scn.n_evs, cfg, result.interleaving)
+
+    def test_every_score_is_taken_under_the_policy_that_drew(self, monkeypatch):
+        # Each push carries its row's score (times its advantage weight) at a draw that the
+        # policy synced at the window's start made: with update_period = 1, the score of the
+        # first draw after the syncs, under the parameters that made that draw.
+        import evchargelab.rl.train as train
+
+        events = []
+        draw, sync, push = train.policy_draw, ParameterStore.sync, ParameterStore.push
+
+        def record_draw(params, states, rng, forward=None):
+            draws = draw(params, states, rng, forward)
+            events.append(("draw", params.copy(), states.copy(), draws.copy()))
+            return draws
+
+        def record_sync(store, worker_id):
+            events.append(("sync", store.policy.copy()))
+            return sync(store, worker_id)
+
+        def record_push(store, worker_id, d_policy, d_critic, steps):
+            events.append(("push", worker_id, d_policy.flat.copy()))
+            return push(store, worker_id, d_policy, d_critic, steps)
+
+        monkeypatch.setattr(train, "policy_draw", record_draw)
+        monkeypatch.setattr(ParameterStore, "sync", record_sync)
+        monkeypatch.setattr(ParameterStore, "push", record_push)
+        scn = random_feasible_scenario(np.random.default_rng(49))
+        train_sca(lambda seed: scn, tiny_cfg(k_max=120, n_workers=2, update_period=1))
+
+        checked = 0
+        synced = scored = None
+        for event in events:
+            if event[0] == "sync":
+                synced, scored = event[1], None
+            elif event[0] == "draw" and scored is None:
+                scored = event
+                assert scored[1].flat.tobytes() == synced.flat.tobytes()
+            elif event[0] == "push":
+                _, params, states, draws = scored
+                row, pushed = event[1], event[2]
+                score = log_policy_gradient(params, states[row], draws[row]).flat
+                weight = pushed @ score / (score @ score)
+                np.testing.assert_allclose(pushed, weight * score, rtol=1e-9, atol=1e-12 * np.abs(pushed).max())
+                checked += weight != 0.0
+        assert checked >= 50
+
+    def test_stored_policy_schedules_unchanged(self):
+        # SHA-256 of the schedules the stored benchmark policies give on benchmark fleets 1-20,
+        # as the one-scenario envs gave them before the envs took rows. The digests hold only
+        # under the BLAS that recorded them (its matrix-vector sums round in their own order),
+        # which the digest of one fixed forward pass per policy identifies.
+        import hashlib
+        from pathlib import Path
+
+        from evchargelab.harness import benchmark_spec, build_scenario
+        from evchargelab.rl.nets import policy_forward
+        from evchargelab.rl.serialize import load_policy
+
+        inputs = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+        want = {
+            "sca": (sca_schedule, "9fee8f59319c6ab48beb62946a44ee86d1a72855db7fd33564657aa63d9797aa",
+                    "1dc39d73e5bf65657dab94b5cd407fea8d74850571b8ff8d9abe650bec66f933"),
+            "calc": (calc_schedule, "8f159831312351063a8e060d6435f119a0124b7462ec5714f1024492096370c2",
+                     "4ec47fb475925a241d474e7fe4219372267c7ed6b03c8883eae041d5e244a184"),
+        }
+        for name, (schedule, probe, digest) in want.items():
+            policy = load_policy(inputs / f"{name}_policy.txt")
+            _, mu, _ = policy_forward(policy, np.linspace(0.0, 1.0, policy.w_hidden.shape[0]))
+            if hashlib.sha256(mu.tobytes()).hexdigest() != probe:
+                pytest.skip("this BLAS rounds the policy's forward pass differently from the one that recorded the digests")
+            sha = hashlib.sha256()
+            for seed in range(1, 21):
+                sha.update(schedule(policy, build_scenario(benchmark_spec(), seed)[0]).amounts.tobytes())
+            assert sha.hexdigest() == digest, name
+
+
 class _DegradingEnv:
-    """One-step episodes whose reward collapses after a warm start."""
+    """Rows of one-step episodes whose reward collapses after a warm start."""
 
     count = 0
     state_dim = 1
     action_dim = 1
 
-    def __init__(self):
-        self.t = 1
-        self.done = False
+    def __init__(self, scenarios, reward_mode):
+        self.rows = len(scenarios)
         self.state = self
 
     def vector(self):
-        return np.zeros(1)
+        return np.zeros((self.rows, 1))
 
     def bounds(self):
-        return np.zeros(1), np.ones(1)
+        return np.zeros((self.rows, 1)), np.ones((self.rows, 1))
+
+    def reset(self, rows, scenarios):
+        pass
 
     def reward(self, episode: int) -> float:
         return -1.0 if episode <= 25 else -1000.0
 
-    def step(self, action):
+    def step(self, actions):
         from evchargelab.rl.env import EnvTransition
 
-        type(self).count += 1
-        self.done = True
-        return EnvTransition(self, np.atleast_1d(action), self.reward(type(self).count), self, True)
+        rewards = []
+        for _ in range(self.rows):
+            type(self).count += 1
+            rewards.append(self.reward(type(self).count))
+        return EnvTransition(self, actions, np.array(rewards), self, np.ones(self.rows, dtype=bool))
 
 
 class _NearZeroEnv(_DegradingEnv):
@@ -322,24 +470,28 @@ class _NearZeroEnv(_DegradingEnv):
         return 0.5 * (-1.0) ** episode - (self.drop if episode > 25 else 0.0)
 
 
+def no_scenario(seed):
+    return None
+
+
 class TestDivergenceDetector:
     def test_collapsing_reward_aborts(self):
         _DegradingEnv.count = 0
         cfg = tiny_cfg(k_max=100_000, update_period=1)
         with pytest.raises(TrainingDiverged):
-            _run_training(lambda seed: _DegradingEnv(), 1, 1, cfg)
+            _run_training(_DegradingEnv, no_scenario, cfg)
 
     def test_noise_near_zero_does_not_abort(self):
         # The first window's mean is -0.02 and its spread 0.5; windows 0.5
         # lower drop by 25 times the best mean but by one spread: noise.
         _NearZeroEnv.count, _NearZeroEnv.drop = 0, 0.5
-        result = _run_training(lambda seed: _NearZeroEnv(), 1, 1, tiny_cfg(k_max=300, update_period=1))
+        result = _run_training(_NearZeroEnv, no_scenario, tiny_cfg(k_max=300, update_period=1))
         assert len(result.episodes) >= 8 * 25
 
     def test_collapse_near_zero_aborts(self):
         _NearZeroEnv.count, _NearZeroEnv.drop = 0, 100.0
         with pytest.raises(TrainingDiverged):
-            _run_training(lambda seed: _NearZeroEnv(), 1, 1, tiny_cfg(k_max=300, update_period=1))
+            _run_training(_NearZeroEnv, no_scenario, tiny_cfg(k_max=300, update_period=1))
 
 
 class TestSerialization:

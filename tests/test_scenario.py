@@ -112,6 +112,50 @@ class TestSampleFleet:
         with pytest.raises(ScenarioError):
             FleetConfig(n_evs=1, horizon=48, ev_type="type9")
 
+    def test_scenarios_match_the_per_ev_loop(self):
+        # The fleet arrays come from the three vector draws; the per-EV loop of
+        # EVProfiles they replaced, on the same RNG stream, gives the same bytes.
+        from evchargelab.harness import ScenarioSpec, benchmark_spec, build_scenario
+
+        for spec in (benchmark_spec(), ScenarioSpec(n_evs=25, ev_type="type2", dwell_min=2, dwell_max=6)):
+            cfg = FleetConfig(n_evs=spec.n_evs, horizon=spec.horizon, ev_type=spec.ev_type,
+                              arrival=ArrivalDistribution.evening_peak(spec.horizon, spec.arrival_peak_slot,
+                                                                       spec.arrival_spread),
+                              dwell=DwellDistribution.uniform(spec.dwell_min, spec.dwell_max))
+            for seed in range(1, 201):
+                scenario, truncations = build_scenario(spec, seed)
+                evs, want_truncations = per_ev_loop_fleet(cfg, seed)
+                want = make_scenario(evs, spec.horizon, scenario.base_load)
+                assert truncations == want_truncations
+                for name in ("t_arr", "t_dep", "demand", "b_max", "capacity", "soc_init", "mask"):
+                    got, ref = getattr(scenario, name), getattr(want, name)
+                    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (seed, name)
+                assert tuple(scenario.evs) == evs
+
+
+def per_ev_loop_fleet(cfg, seed):
+    """The fleet draw as a loop over EVs that builds one EVProfile each."""
+    from evchargelab.model import EVProfile
+
+    arrival, soc_dist, dwell_dist = cfg.resolved()
+    rng = np.random.default_rng(seed)
+    b_max, capacity = EV_TYPES[cfg.ev_type]
+    arrivals = arrival.sample(rng, cfg.n_evs)
+    socs = soc_dist.sample(rng, cfg.n_evs)
+    dwells = dwell_dist.sample(rng, cfg.n_evs)
+    evs, truncations = [], 0
+    for i in range(cfg.n_evs):
+        t_arr = int(arrivals[i])
+        t_dep = min(int(t_arr + dwells[i] - 1), cfg.horizon)
+        demand = capacity * (1.0 - socs[i])
+        deliverable = b_max * (t_dep - t_arr + 1)
+        if demand > deliverable:
+            demand = deliverable
+            truncations += 1
+        evs.append(EVProfile(id=i + 1, t_arr=t_arr, t_dep=t_dep, demand_kwh=demand, b_max=b_max,
+                             capacity_kwh=capacity, soc_init=float(socs[i])))
+    return tuple(evs), truncations
+
 
 class TestBaseLoad:
     def test_constant_file(self, tmp_path):
