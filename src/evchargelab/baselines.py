@@ -50,7 +50,7 @@ from .model import (
     masked_sum,
     slot_cost,
 )
-from .solvers import solve_rolling_step
+from .solvers import check_evs_can_finish, solve_rolling_step
 
 _Q_CLAMP = 1e9
 # Half-width (per-EV kWh) of the band of levels one Q-learning update moves;
@@ -60,6 +60,7 @@ _NEIGHBOUR_KWH = 0.05
 
 def ec_schedule(scenario: Scenario) -> ChargingSchedule:
     """Eager charging: every parked EV draws min(b_max, residual) each slot."""
+    check_evs_can_finish(scenario)
     # Slot-by-slot subtraction, which rounds differently from demand - k * b_max.
     B = np.zeros((scenario.n_evs, scenario.horizon))
     for row, ev in enumerate(scenario.evs):
@@ -74,25 +75,26 @@ def ec_schedule(scenario: Scenario) -> ChargingSchedule:
 
 
 def oa_schedule(scenario: Scenario) -> ChargingSchedule:
-    """Rolling online control: re-solve the window problem at each event.
+    """Rolling online control: re-solve the window problem at each arrival event.
 
-    Events are EV arrivals, departures, and base-load changes; between
-    events the previously computed window plan is committed slot by slot.
+    At a slot where an EV arrives (or where no plan covers the slot) the
+    parked EVs' residual demands are re-solved over the window to their
+    last departure; between arrivals the plan is committed slot by slot.
+    Departures and base-load changes bring nothing new: the base load is
+    known across the window, and the rest of an optimal plan is an optimal
+    plan for the residuals it leaves, so a re-solve there could move the
+    cost by rounding only. Among tied optimal splits, the per-EV rows are
+    those of the re-solve that made the plan.
     """
     B = np.zeros((scenario.n_evs, scenario.horizon))
     residuals = scenario.demand.copy()
     plan = None
-    lb = scenario.base_load
     for t in range(1, scenario.horizon + 1):
         active = scenario.mask[:, t - 1] & (residuals > DEFAULT_TOL)
         if not active.any():
             plan = None
             continue
-        arrival = np.any(scenario.t_arr == t)
-        departure = np.any(scenario.t_dep == t - 1)
-        base_change = t > 1 and lb[t - 1] != lb[t - 2]
-        stale = plan is None or t not in plan.window
-        if arrival or departure or base_change or stale:
+        if plan is None or t not in plan.window or np.any(scenario.t_arr == t):
             plan_rows = np.flatnonzero(active)
             plan = solve_rolling_step(scenario, t, {scenario.evs[r].id: residuals[r] for r in plan_rows})
         keep = active[plan_rows]
@@ -328,6 +330,7 @@ def aem_schedule(table: QTable, scenario: Scenario) -> ChargingSchedule:
 
     A state with no informed level charges only what the laxity clamp forces.
     """
+    check_evs_can_finish(scenario)
 
     def pick(state):
         level = table.greedy_level(state)

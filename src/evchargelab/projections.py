@@ -15,16 +15,16 @@ import numpy as np
 def _row_shifts(V: np.ndarray, U: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Per-row tau with sum(clip(V - tau, 0, U)) = total, for 0 <= total <= sum(U)."""
     n, m = V.shape
+    rows = np.arange(n)
     points = np.concatenate([V, V - U], axis=1)
-    steps = np.concatenate([np.ones((n, m)), -np.ones((n, m))], axis=1)
     order = np.argsort(-points, axis=1, kind="stable")
-    points = np.take_along_axis(points, order, axis=1)
-    # Entries active (strictly between their two breakpoints) just below each point.
-    active = np.cumsum(np.take_along_axis(steps, order, axis=1), axis=1)
+    points = points[rows[:, None], order]
+    # Entries active (strictly between their two breakpoints) just below each
+    # point: an entry enters at its upper breakpoint v and leaves at v - u.
+    active = np.where(order < m, 1.0, -1.0).cumsum(axis=1)
     sums = np.zeros((n, 2 * m))
     sums[:, 1:] = np.cumsum(active[:, :-1] * (points[:, :-1] - points[:, 1:]), axis=1)
     k = np.clip((sums < totals[:, None]).sum(axis=1), 1, 2 * m - 1)
-    rows = np.arange(n)
     below = k - 1
     slope = np.maximum(active[rows, below], 1.0)
     tau = points[rows, below] - (totals - sums[rows, below]) / slope

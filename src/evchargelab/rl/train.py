@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from ..model import ChargingSchedule, Scenario
-from ..solvers import project_allocation
+from ..solvers import check_evs_can_finish, project_allocation
 from .env import REWARD_EXACT, REWARD_MODES, AggregateEnv, ChargingEnv
 from .nets import (
     CRITIC_HIDDEN,
@@ -455,6 +455,7 @@ def sca_schedule(policy: PolicyParams, scenario: Scenario, reward_mode: str = RE
     The feasibility corridor force-charges any residual an EV could not
     otherwise meet; forced amounts are logged as policy diagnostics.
     """
+    check_evs_can_finish(scenario)
     env = ChargingEnv(scenario, reward_mode)
     B = np.zeros((scenario.n_evs, scenario.horizon))
     forced = 0
@@ -495,4 +496,5 @@ def calc_aggregate_series(policy: PolicyParams, scenario: Scenario, reward_mode:
 
 def calc_schedule(policy: PolicyParams, scenario: Scenario, reward_mode: str = REWARD_EXACT) -> ChargingSchedule:
     """Two-stage schedule: the policy's per-slot targets, projected onto feasible schedules."""
+    check_evs_can_finish(scenario)
     return project_allocation(calc_aggregate_series(policy, scenario, reward_mode), scenario).schedule

@@ -8,6 +8,13 @@ infeasibility certificate. The feasible-set projection (for the KKT residual
 and the allocator) is exact: a row-wise capped-simplex projection when the
 load cap is slack, and projected Newton on the slot multipliers of the cap
 when it binds.
+
+Every max-flow (`_max_flow`) runs Dinic's method on a residual graph built
+from arrays: the edge tails, heads and capacities (edge 2k forward, 2k + 1
+its reverse) come from NumPy, and each node's adjacency from one stable
+argsort of the tails. The augmenting loop runs on the arrays' Python lists,
+which visit the edges in a fixed order, so flows and cuts are reproducible
+bit for bit.
 """
 
 from __future__ import annotations
@@ -72,6 +79,16 @@ def _check_per_ev_feasibility(ids, upper, demands):
         raise InfeasibleScenarioError(f"EV {ids[i]}: demand {demands[i]} exceeds deliverable {float(deliverable[i])}")
 
 
+def check_evs_can_finish(scenario: Scenario) -> None:
+    """Raise InfeasibleScenarioError naming the first EV whose window cannot deliver its demand.
+
+    Every schedule function runs it first, as the solvers do, so a fleet
+    that no schedule can serve fails before any rollout.
+    """
+    _check_per_ev_feasibility([ev.id for ev in scenario.evs], np.where(scenario.mask, scenario.b_max[:, None], 0.0),
+                              scenario.demand)
+
+
 def _max_flow(supply, upper, room):
     """Max-flow source -> EV i (supply[i]) -> slot t (upper[i, t]) -> sink (room[t]).
 
@@ -81,62 +98,74 @@ def _max_flow(supply, upper, room):
     """
     n, T = upper.shape
     sink = n + T + 1
-    head, cap, adj = [], [], [[] for _ in range(sink + 1)]
-
-    def add(u, v, c):
-        adj[u].append(len(head))
-        head.append(v)
-        cap.append(float(c))
-        adj[v].append(len(head))
-        head.append(u)
-        cap.append(0.0)
-
-    for i in range(n):
-        add(0, 1 + i, supply[i])
     rows, cols = np.nonzero(upper > 0.0)
-    for i, t in zip(rows, cols):
-        add(1 + i, 1 + n + t, upper[i, t])
-    for t in range(T):
-        add(1 + n + t, sink, room[t])
+    # Edges source -> EV, EV -> slot (row-major), slot -> sink; edge 2k is
+    # the k-th of them and 2k + 1 its reverse, with no capacity.
+    tails = np.concatenate([np.zeros(n, dtype=np.intp), 1 + rows, 1 + n + np.arange(T)])
+    heads = np.concatenate([1 + np.arange(n), 1 + n + cols, np.full(T, sink)])
+    ends = np.column_stack([tails, heads]).reshape(-1)
+    heads = np.column_stack([heads, tails]).reshape(-1)
+    head = heads.tolist()
+    cap = np.zeros(ends.size)
+    cap[::2] = np.concatenate([supply, upper[rows, cols], room])
+    cap = cap.tolist()
+    # Each node's (edge, head) pairs in edge order: one stable sort of the edge tails.
+    order = np.argsort(ends, kind="stable")
+    pairs = list(zip(order.tolist(), heads[order].tolist()))
+    bounds = np.concatenate([[0], np.bincount(ends, minlength=sink + 1).cumsum()]).tolist()
+    adj = [pairs[bounds[u] : bounds[u + 1]] for u in range(sink + 1)]
     eps = 1e-12 * max(1.0, float(np.sum(supply)))
     flow = 0.0
     while True:
         level = [-1] * (sink + 1)
         level[0] = 0
         queue = [0]
+        # Breadth-first levels, up to the sink's: a node past it is a dead end.
         for u in queue:
-            for e in adj[u]:
-                if cap[e] > eps and level[head[e]] < 0:
-                    level[head[e]] = level[u] + 1
-                    queue.append(head[e])
+            below = level[u] + 1
+            for e, v in adj[u]:
+                if cap[e] > eps and level[v] < 0:
+                    level[v] = below
+                    queue.append(v)
+            if level[sink] >= 0:
+                break
         if level[sink] < 0:
             break
         # Blocking flow: advance along level edges, retreat from dead ends.
+        # After a push the walk resumes at the tail of the first edge the push
+        # left without capacity: a restart from the source would walk the same
+        # edges up to there.
         nxt = [0] * (sink + 1)
         path, u = [], 0
         while True:
             if u == sink:
-                pushed = min(cap[e] for e in path)
+                pushed = min([cap[e] for e in path])
                 for e in path:
                     cap[e] -= pushed
                     cap[e ^ 1] += pushed
                 flow += pushed
-                path, u = [], 0
+                j = 0
+                while cap[path[j]] > eps:
+                    j += 1
+                u = head[path[j] ^ 1]
+                del path[j:]
                 continue
-            edges = adj[u]
-            while nxt[u] < len(edges):
-                e = edges[nxt[u]]
-                if cap[e] > eps and level[head[e]] == level[u] + 1:
+            edges, i, below = adj[u], nxt[u], level[u] + 1
+            k = len(edges)
+            while i < k:
+                e, v = edges[i]
+                if cap[e] > eps and level[v] == below:
                     break
-                nxt[u] += 1
-            else:
+                i += 1
+            nxt[u] = i
+            if i == k:
                 if not path:
                     break
                 u = head[path.pop() ^ 1]
                 nxt[u] += 1
                 continue
             path.append(e)
-            u = head[e]
+            u = v
     side = np.array(level) >= 0
     # An edge's flow is the capacity its reverse edge has gained.
     flows = np.zeros((n, T))
@@ -289,8 +318,13 @@ def _decompose(ids, upper, demands, window: range, scenario: Scenario):
                       (rows[~evs], cols[~slots], d[~evs], c[~slots] + full.sum(axis=0))):
             if block[0].size and block[1].size:
                 stack.append(block)
-    group = np.unique(np.column_stack([upper, demands]), axis=0, return_inverse=True)[1].reshape(-1)
-    sums = np.zeros((group.max() + 1, upper.shape[1]))
+    # Identical EVs (equal rows of upper and demands; + 0.0 maps -0.0 to 0.0)
+    # share their mean row. Where no two are identical, each row is its own mean.
+    keys = {}
+    group = np.array([keys.setdefault(row.tobytes(), len(keys)) for row in np.column_stack([upper, demands]) + 0.0])
+    if len(keys) == group.size:
+        return X, flows
+    sums = np.zeros((len(keys), upper.shape[1]))
     np.add.at(sums, group, X)
     return sums[group] / np.bincount(group)[group, None], flows
 

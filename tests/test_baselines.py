@@ -1,8 +1,12 @@
 """Eager charging, rolling online control, and Q-learning baseline tests."""
 
+from dataclasses import replace
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from evchargelab import baselines
 from evchargelab.baselines import (
     QLearnConfig,
     QTable,
@@ -13,8 +17,11 @@ from evchargelab.baselines import (
     ec_schedule,
     oa_schedule,
 )
-from evchargelab.model import ChargingSchedule, horizon_cost, laxity_corridor, validate_schedule
-from evchargelab.solvers import solve_offline
+from evchargelab.harness import benchmark_spec, build_scenario
+from evchargelab.model import DEFAULT_TOL, ChargingSchedule, horizon_cost, laxity_corridor, validate_schedule
+from evchargelab.rl import AggregateEnv, calc_schedule, init_policy, sca_schedule
+from evchargelab.scenario import synthetic_base_load
+from evchargelab.solvers import InfeasibleScenarioError, solve_offline, solve_rolling_step
 
 from conftest import make_ev, make_scenario, random_feasible_scenario
 from test_scenario import five_ev_fleet
@@ -80,6 +87,94 @@ class TestOaSchedule:
     def test_fig1_fleet_feasible(self):
         scn = make_scenario(five_ev_fleet(), horizon=10, base_load=[1.0] * 10)
         assert validate_schedule(oa_schedule(scn), scn, tol=1e-5).passed
+
+
+@lru_cache(maxsize=None)
+def benchmark_fleets(base: str) -> tuple:
+    """Benchmark fleets 1-20, on the shipped flat base load or on `synthetic_base_load`."""
+    fleets = tuple(build_scenario(benchmark_spec(), seed)[0] for seed in range(1, 21))
+    if base == "flat":
+        return fleets
+    return tuple(replace(sc, base_load=synthetic_base_load(sc.horizon)) for sc in fleets)
+
+
+def every_event_oa(scenario):
+    """Reference OA that re-solves at every event: arrival, departure, base-load change, stale plan."""
+    B = np.zeros((scenario.n_evs, scenario.horizon))
+    residuals = scenario.demand.copy()
+    plan, lb = None, scenario.base_load
+    for t in range(1, scenario.horizon + 1):
+        active = scenario.mask[:, t - 1] & (residuals > DEFAULT_TOL)
+        if not active.any():
+            plan = None
+            continue
+        event = np.any(scenario.t_arr == t) or np.any(scenario.t_dep == t - 1) or (t > 1 and lb[t - 1] != lb[t - 2])
+        if event or plan is None or t not in plan.window:
+            plan_rows = np.flatnonzero(active)
+            plan = solve_rolling_step(scenario, t, {scenario.evs[r].id: residuals[r] for r in plan_rows})
+        keep = active[plan_rows]
+        committed = np.minimum(plan.amounts[keep, t - plan.window.start], residuals[plan_rows[keep]])
+        B[plan_rows[keep], t - 1] = committed
+        residuals[plan_rows[keep]] -= committed
+    return ChargingSchedule(B)
+
+
+def _outcome(schedule, scenario):
+    try:
+        return schedule(scenario)
+    except InfeasibleScenarioError:
+        return None
+
+
+class TestOaResolveRule:
+    """OA re-solves only at arrivals; the rest of an optimal plan stays optimal until one."""
+
+    @pytest.mark.parametrize("fleets", ["flat", "synthetic", "random-capped"])
+    def test_agrees_with_every_event_loop(self, fleets):
+        if fleets == "random-capped":
+            scenarios = [random_feasible_scenario(np.random.default_rng(700 + k), with_cap=True) for k in range(40)]
+        else:
+            scenarios = benchmark_fleets(fleets)
+        for scn in scenarios:
+            old, new = _outcome(every_event_oa, scn), _outcome(oa_schedule, scn)
+            assert (old is None) == (new is None)
+            if old is None:
+                continue
+            assert validate_schedule(old, scn, tol=1e-5).passed and validate_schedule(new, scn, tol=1e-5).passed
+            assert horizon_cost(new, scn) == pytest.approx(horizon_cost(old, scn), rel=1e-12)
+            assert np.abs(new.slot_totals() - old.slot_totals()).max() <= 1e-9
+
+    @pytest.mark.parametrize("base", ["flat", "synthetic"])
+    def test_one_resolve_per_arrival_with_parked_demand(self, base, monkeypatch):
+        slots = []
+
+        def counting(scenario, t, residuals):
+            slots.append(t)
+            return solve_rolling_step(scenario, t, residuals)
+
+        monkeypatch.setattr(baselines, "solve_rolling_step", counting)
+        for scn in benchmark_fleets(base):
+            slots.clear()
+            B = oa_schedule(scn).amounts
+            expected, residuals = [], scn.demand.copy()
+            for t in range(1, scn.horizon + 1):
+                if np.any(scn.t_arr == t) and np.any(scn.mask[:, t - 1] & (residuals > DEFAULT_TOL)):
+                    expected.append(t)
+                residuals = residuals - B[:, t - 1]
+            assert slots == expected
+
+
+def test_every_schedule_function_refuses_an_ev_that_cannot_finish():
+    # EV 0 needs 10 kWh in slots 1-2 at 2 kWh/slot; EV 1 needs 2 kWh in slots 1-4.
+    evs = [make_ev(0, 1, 2, demand=10.0, b_max=2.0), make_ev(1, 1, 4, demand=2.0, b_max=2.0)]
+    scn = make_scenario(evs, horizon=4, base_load=[1.0] * 4)
+    sca = init_policy(scn.n_evs + 1, scn.n_evs, np.random.default_rng(3))
+    calc = init_policy(AggregateEnv.state_dim, AggregateEnv.action_dim, np.random.default_rng(3))
+    table = QTable(soc_bins=2, load_bins=2, levels=3, b_max=2.0)
+    for schedule in (ec_schedule, oa_schedule, solve_offline, lambda sc: aem_schedule(table, sc),
+                     lambda sc: sca_schedule(sca, sc), lambda sc: calc_schedule(calc, sc)):
+        with pytest.raises(InfeasibleScenarioError, match=r"^EV 0: demand 10\.0 exceeds deliverable 4\.0"):
+            schedule(scn)
 
 
 class TestQTable:

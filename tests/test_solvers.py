@@ -4,6 +4,7 @@ SciPy (QP and LP references) and networkx (max-flow) serve only as
 oracles here; the library itself is NumPy-only.
 """
 
+import hashlib
 from dataclasses import replace
 from functools import lru_cache
 
@@ -16,6 +17,7 @@ from evchargelab.baselines import ec_schedule
 from evchargelab.harness import benchmark_spec, build_scenario
 from evchargelab.model import ChargingSchedule, horizon_cost, validate_schedule
 from evchargelab.projections import project_rows_capped_simplex
+from evchargelab.scenario import synthetic_base_load
 from evchargelab.solvers import (
     InfeasibleScenarioError,
     _feasible_projector,
@@ -152,6 +154,22 @@ class TestSolveOffline:
         scn = build_scenario(benchmark_spec(), seed)[0]
         assert price_gap(scn, solve_offline(scn).schedule.amounts).max() <= 1e-9
 
+    @pytest.mark.parametrize("base, digest", ids=["flat", "synthetic"], argvalues=[
+        ("flat", "ed9230d6077db4c4c5adfa1317f61c36bc38b7f215e9039ec99f9933d7a9e861"),
+        ("synthetic", "14607aa061c2e77b6ea9bfd5ff04ed17a3fd83b358d743a756ac9d0dfb22d8c4"),
+    ])
+    def test_schedules_bit_exact_on_benchmark_fleets(self, base, digest):
+        # SHA-256 of the oracle's schedules on benchmark fleets 1-20, as recorded when
+        # `_max_flow` built its graph edge by edge: the array-built graph keeps every
+        # edge's place, so every flow, cut and schedule keeps its bits.
+        sha = hashlib.sha256()
+        for seed in range(1, 21):
+            scn = build_scenario(benchmark_spec(), seed)[0]
+            if base == "synthetic":
+                scn = replace(scn, base_load=synthetic_base_load(scn.horizon))
+            sha.update(solve_offline(scn).schedule.amounts.tobytes())
+        assert sha.hexdigest() == digest
+
     def test_load_cap_respected(self):
         evs = [make_ev(i, 1, 4, demand=6.0, b_max=3.0) for i in range(2)]
         scn = make_scenario(evs, horizon=4, base_load=[1.0] * 4, load_cap=5.0)
@@ -287,23 +305,41 @@ class TestCappedProjection:
             assert warm(V) == pytest.approx(cold, abs=1e-10)
 
 
+def assert_max_flow_matches_networkx(mask, b_max, demands, caps):
+    upper = np.where(mask, b_max[:, None], 0.0)
+    flow, evs, slots, X = _max_flow(demands, upper, caps)
+    reference = networkx_max_flow(mask, b_max, demands, caps)
+    assert flow == pytest.approx(reference, abs=1e-9)
+    # The flow matrix is a feasible flow of that value.
+    assert X.min() >= 0.0 and np.all(X <= upper)
+    assert np.all(X.sum(axis=1) <= demands + 1e-9) and np.all(X.sum(axis=0) <= caps + 1e-9)
+    assert X.sum() == pytest.approx(reference, abs=1e-9)
+    # The source side is a minimum cut: its capacity is the flow.
+    cut = demands[~evs].sum() + upper[evs][:, ~slots].sum() + caps[slots].sum()
+    assert cut == pytest.approx(flow, abs=1e-9)
+
+
 class TestCapFeasibility:
     def test_flow_matches_networkx(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
             mask, b_max, demands, caps = random_capped_instance(rng)
             caps = caps * rng.uniform(0.5, 1.2, caps.size)  # some unreachable
-            upper = np.where(mask, b_max[:, None], 0.0)
-            flow, evs, slots, X = _max_flow(demands, upper, caps)
-            reference = networkx_max_flow(mask, b_max, demands, caps)
-            assert flow == pytest.approx(reference, abs=1e-9)
-            # The flow matrix is a feasible flow of that value.
-            assert X.min() >= 0.0 and np.all(X <= upper)
-            assert np.all(X.sum(axis=1) <= demands + 1e-9) and np.all(X.sum(axis=0) <= caps + 1e-9)
-            assert X.sum() == pytest.approx(reference, abs=1e-9)
-            # The source side is a minimum cut: its capacity is the flow.
-            cut = demands[~evs].sum() + upper[evs][:, ~slots].sum() + caps[slots].sum()
-            assert cut == pytest.approx(flow, abs=1e-9)
+            assert_max_flow_matches_networkx(mask, b_max, demands, caps)
+
+    @pytest.mark.parametrize("case", ["zero supply", "EV without a window", "slot without room", "one EV, one slot"])
+    def test_flow_matches_networkx_at_the_edges(self, case):
+        mask = np.array([[True, True, False], [False, True, True], [True, False, True]])
+        b_max, demands, caps = np.array([2.0, 1.5, 3.0]), np.array([3.0, 2.0, 4.0]), np.array([2.5, 3.0, 4.0])
+        if case == "zero supply":
+            demands = np.zeros(3)
+        elif case == "EV without a window":
+            mask[1] = False
+        elif case == "slot without room":
+            caps[1] = 0.0
+        else:
+            mask, b_max, demands, caps = np.array([[True]]), np.array([2.0]), np.array([3.0]), np.array([2.5])
+        assert_max_flow_matches_networkx(mask, b_max, demands, caps)
 
     @pytest.mark.parametrize("factor, feasible", [(0.97, False), (1.001, True)])
     def test_fleet_104_verdict(self, factor, feasible):
