@@ -124,7 +124,7 @@ class TrainingReport:
     """The policies an experiment trained, and what training them took."""
 
     policies: dict = field(default_factory=dict)  # (algorithm, training seed) -> (train_ms, TrainResult or None)
-    wall_ms: float = 0.0  # wall time of all training, concurrent or in-process
+    wall_ms: float = 0.0  # wall time of the training phase, concurrent or in-process
     workers: int = 0  # worker processes of the concurrent phase; 0 if none ran
 
 
@@ -141,7 +141,11 @@ class ExperimentResult:
 
 
 def _whole(text: str) -> int:
-    return int(float(text))
+    """An integer key's value, which may be written as a float such as 2e5."""
+    value = float(text)
+    if not value.is_integer():  # also inf and nan
+        raise ValueError(f"{text.strip()!r} is not a whole number")
+    return int(value)
 
 
 # (key, field, cast) of each key that an INI section may set. [scenario] and
@@ -405,92 +409,85 @@ def _train(cfg: ExperimentConfig, algorithm: str, seed: int):
     return artifact, result, (time.perf_counter() - t0) * 1e3
 
 
-class _Trainer:
-    """Trains each learning algorithm at most once per training seed.
+def _training_key(cfg: ExperimentConfig, algorithm: str, seed: int) -> tuple[str, int]:
+    """The (algorithm, training seed) whose policy the run of `algorithm` on `seed` uses.
 
-    `train_all` trains a set of keys up front, side by side in forked
-    processes, and keeps a training that raised against its key, so every
-    run that needs the policy fails with the same error. `policy` trains any
-    other key lazily, in this process. With shared training, SCA and CALC
-    train with their own configured seeds. AEM has no seed of its own
-    (AemSettings) and trains with SCA's.
+    With shared training, SCA and CALC train with their own configured
+    seeds. AEM has no seed of its own (AemSettings) and trains with SCA's.
     """
+    if not cfg.share_training:
+        return algorithm, seed
+    return algorithm, cfg.calc.seed if algorithm == "CALC" else cfg.sca.seed
 
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self._cache = {}  # key -> (artifact, TrainResult or None, train_ms), or the exception raised
-        self.spent_ms = 0.0  # wall time of all training so far
-        self.workers = 0  # worker processes of `train_all`
 
-    def key(self, algorithm: str, seed: int) -> tuple[str, int]:
-        if not self.cfg.share_training:
-            return algorithm, seed
-        return algorithm, self.cfg.calc.seed if algorithm == "CALC" else self.cfg.sca.seed
+def _attempt(cfg: ExperimentConfig, key: tuple[str, int]):
+    """`_train`'s result for `key`, or the exception it raised."""
+    try:
+        return _train(cfg, *key)
+    except Exception as exc:
+        return exc
 
-    def train_all(self, keys) -> None:
-        """Train `keys` in a pool of forked processes, one per usable CPU.
 
-        The pool is shut down before this returns. The keys are left to
-        `policy` where the platform cannot fork, where another thread runs
-        (a forked child would inherit the locks it holds), or where the pool
-        cannot start.
-        """
-        import multiprocessing
-        import threading
+def _train_all(cfg: ExperimentConfig, keys) -> tuple[dict, TrainingReport]:
+    """Train each key once, before any run; returns each key's outcome and the report.
 
-        if not keys or "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
-            return
+    An outcome is `_train`'s result or the exception it raised, so every run
+    that needs a policy whose training failed fails with the same error. The
+    keys train side by side in forked processes, one per usable CPU, and one
+    after another in this process where the platform cannot fork, where
+    another thread runs (a forked child would inherit the locks it holds),
+    or where the pool cannot start.
+    """
+    import multiprocessing
+    import threading
+
+    t0 = time.perf_counter()
+    outcomes, workers = None, 0
+    if keys and "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
         from concurrent.futures import ProcessPoolExecutor
 
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         workers = min(cpus, len(keys))
-        t0 = time.perf_counter()
         try:
             with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                futures = {key: pool.submit(_train, self.cfg, *key) for key in keys}
-                for key, future in futures.items():
-                    self._cache[key] = future.exception() or future.result()
-        except OSError:  # no process could be started: train in-process instead
-            return
-        self.spent_ms += (time.perf_counter() - t0) * 1e3
-        self.workers = workers
-
-    def policy(self, algorithm: str, seed: int):
-        key = self.key(algorithm, seed)
-        if key not in self._cache:
-            self._cache[key] = _train(self.cfg, *key)
-            self.spent_ms += self._cache[key][2]
-        outcome = self._cache[key]
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    def report(self) -> TrainingReport:
-        policies = {key: (outcome[2], outcome[1]) for key, outcome in self._cache.items()
-                    if not isinstance(outcome, Exception)}
-        return TrainingReport(policies, self.spent_ms, self.workers)
+                futures = [pool.submit(_attempt, cfg, key) for key in keys]
+                outcomes = [future.exception() or future.result() for future in futures]
+        except OSError:  # no process could be started
+            outcomes, workers = None, 0
+    if outcomes is None:
+        outcomes = [_attempt(cfg, key) for key in keys]
+    outcomes = dict(zip(keys, outcomes))
+    policies = {key: (outcome[2], outcome[1]) for key, outcome in outcomes.items()
+                if not isinstance(outcome, Exception)}
+    return outcomes, TrainingReport(policies, (time.perf_counter() - t0) * 1e3, workers)
 
 
-def _produce_schedule(algorithm: str, scenario: Scenario, trainer: _Trainer, seed: int):
+def _produce_schedule(cfg: ExperimentConfig, algorithm: str, scenario: Scenario, trained):
+    """The run's schedule, training curve and train_ms; `trained` is its policy's training outcome."""
     if algorithm == "EC":
         return baselines.ec_schedule(scenario), None, 0.0
     if algorithm == "OA":
         return baselines.oa_schedule(scenario), None, 0.0
-    artifact, curve, train_ms = trainer.policy(algorithm, seed)
+    if isinstance(trained, Exception):
+        raise trained
+    artifact, curve, train_ms = trained
     if algorithm == "AEM":
         return baselines.aem_schedule(artifact, scenario), curve, train_ms
     if algorithm == "SCA":
-        return sca_schedule(artifact, scenario, trainer.cfg.sca.reward_mode), curve, train_ms
+        return sca_schedule(artifact, scenario, cfg.sca.reward_mode), curve, train_ms
     if algorithm == "CALC":
-        return calc_schedule(artifact, scenario, reward_mode=trainer.cfg.calc.reward_mode), curve, train_ms
+        return calc_schedule(artifact, scenario, reward_mode=cfg.calc.reward_mode), curve, train_ms
     raise ValueError(f"unknown algorithm {algorithm}")
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run every (algorithm, seed) pair; failures are recorded, not raised."""
-    trainer = _Trainer(cfg)
-    trainer.train_all(list(dict.fromkeys(trainer.key(algorithm, seed) for algorithm in _TRAINED
-                                         if algorithm in cfg.algorithms for seed in cfg.seeds)))
+    """Train every policy the runs need, then run every (algorithm, seed) pair.
+
+    A run's wall time covers its scheduling only. Failures are recorded, not raised.
+    """
+    outcomes, training = _train_all(cfg, list(dict.fromkeys(
+        _training_key(cfg, algorithm, seed) for algorithm in _TRAINED if algorithm in cfg.algorithms
+        for seed in cfg.seeds)))
     metrics: list[RunMetrics] = []
     failures: list[RunFailure] = []
     curves = {}
@@ -498,40 +495,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         scenario, truncations = build_scenario(cfg.scenario, seed)
         for algorithm in cfg.algorithms:
             try:
-                spent_ms = trainer.spent_ms
+                trained = outcomes.get(_training_key(cfg, algorithm, seed))
                 t0 = time.perf_counter()
-                schedule, curve, train_ms = _produce_schedule(algorithm, scenario, trainer, seed)
-                # Subtract only the training done in this call, not the cached policy's.
-                wall_ms = (time.perf_counter() - t0) * 1e3 - (trainer.spent_ms - spent_ms)
+                schedule, curve, train_ms = _produce_schedule(cfg, algorithm, scenario, trained)
+                wall_ms = (time.perf_counter() - t0) * 1e3
                 report = validate_schedule(schedule, scenario)
-                if algorithm == "AEM" and scenario.n_evs:
-                    # quantized amounts may miss demand by up to one action quantum
-                    quantum_tol = scenario.b_max.max() / (trainer.cfg.aem.levels - 1)
-                else:
-                    quantum_tol = DEFAULT_TOL
+                # quantized AEM amounts may miss demand by up to one action quantum
+                quantum_tol = (scenario.b_max.max() / (cfg.aem.levels - 1) if algorithm == "AEM" and scenario.n_evs
+                               else DEFAULT_TOL)
                 gap = report.max_demand_gap()
                 bad = [v for v in report.violations if v.kind != "demand" or v.magnitude > quantum_tol]
                 if bad:
                     raise RuntimeError(f"schedule failed validation: {bad[:3]}")
                 loads = schedule.slot_totals() + scenario.base_load
-                metrics.append(
-                    RunMetrics(
-                        algorithm=algorithm,
-                        seed=seed,
-                        total_cost=horizon_cost(schedule, scenario),
-                        peak_load_kwh=float(loads.max()),
-                        per_slot_load=loads,
-                        wall_time_ms=max(wall_ms, 0.0),
-                        demand_violation_max=gap,
-                        truncation_count=truncations,
-                        train_time_ms=train_ms,
-                    )
-                )
+                metrics.append(RunMetrics(algorithm, seed, horizon_cost(schedule, scenario), float(loads.max()), loads,
+                                          wall_ms, gap, truncations, train_ms))
                 if curve is not None:
                     curves[(algorithm, seed)] = curve
             except Exception as exc:  # per-run isolation, remaining runs proceed
                 failures.append(RunFailure(algorithm, seed, f"{type(exc).__name__}: {exc}"))
-    return ExperimentResult(metrics=metrics, failures=failures, curves=curves, training=trainer.report())
+    return ExperimentResult(metrics=metrics, failures=failures, curves=curves, training=training)
 
 
 def _both_trainers(attr: str):

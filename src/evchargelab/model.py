@@ -37,8 +37,8 @@ class PriceModel:
     k1: float = DEFAULT_K1
 
     def __post_init__(self):
-        if self.k0 < 0 or self.k1 < 0:
-            raise ModelError(f"price coefficients must be non-negative, got k0={self.k0}, k1={self.k1}")
+        if not (0 <= self.k0 < math.inf and 0 <= self.k1 < math.inf):
+            raise ModelError(f"price coefficients must be finite and non-negative, got k0={self.k0}, k1={self.k1}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,8 @@ class EVProfile:
     soc_init: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.demand_kwh, self.b_max, self.capacity_kwh, self.soc_init))):
+            raise ModelError(f"EV {self.id}: demand, b_max, capacity and soc_init must be finite")
         if self.t_arr > self.t_dep:
             raise ModelError(f"EV {self.id}: arrival {self.t_arr} after departure {self.t_dep}")
         if self.demand_kwh < 0:
@@ -92,7 +94,8 @@ class EVArrays(Sequence):
         self._profiles = None
         c = self.columns
         # EVProfile's checks, entry by entry: the first entry that fails one raises its ModelError.
-        bad = ((c["t_arr"] > c["t_dep"]) | (c["demand"] < 0) | (c["b_max"] <= 0) | (c["capacity"] <= 0)
+        finite = np.isfinite(c["demand"]) & np.isfinite(c["b_max"]) & np.isfinite(c["capacity"])
+        bad = (~finite | (c["t_arr"] > c["t_dep"]) | (c["demand"] < 0) | (c["b_max"] <= 0) | (c["capacity"] <= 0)
                | ~((0 <= c["soc_init"]) & (c["soc_init"] <= 1))
                | (c["demand"] > c["capacity"] * (1.0 - c["soc_init"]) + 1e-6))
         if bad.any():
@@ -140,8 +143,10 @@ class Scenario:
             raise ModelError(f"horizon must be >= 1, got {self.horizon}")
         if base.shape != (self.horizon,):
             raise ModelError(f"base_load length {base.shape} does not match horizon {self.horizon}")
-        if np.any(base < 0):
-            raise ModelError("base_load entries must be non-negative")
+        if not np.all((base >= 0) & np.isfinite(base)):
+            raise ModelError("base_load entries must be finite and non-negative")
+        if math.isnan(self.load_cap):
+            raise ModelError("load_cap must be a number (inf: no cap)")
         if base.size and self.load_cap < base.max():
             raise ModelError(f"load_cap {self.load_cap} below peak base load {base.max()}")
         if isinstance(self.evs, EVArrays):

@@ -94,8 +94,8 @@ class TrainConfig:
     critic_hidden: int = CRITIC_HIDDEN
 
     def __post_init__(self):
-        if self.beta_a <= 0 or self.beta_c <= 0:
-            raise ValueError("learning rates must be positive")
+        if not (0 < self.beta_a < math.inf and 0 < self.beta_c < math.inf):
+            raise ValueError(f"learning rates must be positive and finite, got {self.beta_a}, {self.beta_c}")
         if not 0.0 < self.discount < 1.0:
             raise ValueError(f"discount {self.discount} outside (0, 1)")
         if self.n_workers < 1 or self.update_period < 1 or self.k_max < 1:

@@ -194,9 +194,10 @@ def load_base_series(path, expected_horizon: int) -> np.ndarray:
     if len(values) != expected_horizon:
         raise BaseLoadLengthError(f"expected {expected_horizon} entries, found {len(values)}")
     series = np.array(values)
-    if np.any(series < 0):
-        bad = int(np.argmax(series < 0))
-        raise BaseLoadValueError(f"negative base load {series[bad]} at line {bad + 1}")
+    bad = ~((series >= 0) & np.isfinite(series))
+    if bad.any():
+        i = int(bad.argmax())
+        raise BaseLoadValueError(f"base load {series[i]} at line {i + 1} is not finite and non-negative")
     return series
 
 

@@ -4,10 +4,12 @@ The offline problem is a convex QP whose bill depends only on the slot
 totals. The oracle and the rolling step solve it exactly by a decomposition
 into max-flows (`_decompose`). Whether a finite load cap admits the demands
 at all is decided once per solve by a max-flow, whose minimum cut is the
-infeasibility certificate. The feasible-set projection (for the KKT residual
-and the allocator) is exact: a row-wise capped-simplex projection when the
-load cap is slack, and projected Newton on the slot multipliers of the cap
-when it binds.
+infeasibility certificate. The optimality certificate (`kkt_residual`) is
+exact and needs no projection: the largest per-EV gap between the unit
+prices of a slot that charges and a slot with room. The feasible-set
+projection of the allocator is exact too: a row-wise capped-simplex
+projection when the load cap is slack, and projected Newton on the slot
+multipliers of the cap when it binds.
 
 Every max-flow (`_max_flow`) runs Dinic's method on a residual graph built
 from arrays: the edge tails, heads and capacities (edge 2k forward, 2k + 1
@@ -23,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_TOL, ChargingSchedule, Scenario, bill
+from .model import DEFAULT_TOL, ChargingSchedule, Scenario, bill, validate_schedule
 from .projections import _row_shifts, project_cols_capped_simplex, project_rows_capped_simplex
 
 DEFAULT_MAX_ITER = 50000
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-12  # dual residual, relative to the largest slot room
 _ARMIJO_MAX_HALVINGS = 40
+_ACTIVE_TOL = 1e-9  # kWh: an amount above it charges, one below b_max by more has room
 
 
 class SolverError(RuntimeError):
@@ -333,7 +336,9 @@ def solve_offline(scenario: Scenario) -> QpSolution:
     """Minimize total charging cost with full knowledge of the fleet.
 
     The schedule is exact (`_decompose`); `iterations` counts its max-flows
-    and `kkt_residual` is the schedule's projected-gradient residual.
+    and `kkt_residual` is the schedule's price gap, as `kkt_residual`
+    computes it but without the feasibility checks the construction makes
+    redundant.
     """
     if scenario.n_evs == 0:
         return QpSolution(ChargingSchedule(np.zeros((0, scenario.horizon))), 0.0, 0, 0.0)
@@ -341,21 +346,35 @@ def solve_offline(scenario: Scenario) -> QpSolution:
     upper = np.where(scenario.mask, scenario.b_max[:, None], 0.0)
     B, flows = _decompose(ids, upper, scenario.demand, range(1, scenario.horizon + 1), scenario)
     return QpSolution(ChargingSchedule(B), bill(B.sum(axis=0), scenario.base_load, scenario.price), flows,
-                      kkt_residual(B, scenario))
+                      _price_gap(B, scenario))
+
+
+def _price_gap(B, scenario: Scenario) -> float:
+    """Largest per-EV gap: the unit price of its dearest slot with charge less that of its cheapest
+    window slot with room, clipped at 0."""
+    pm, mask = scenario.price, scenario.mask
+    price = pm.k0 + 2.0 * pm.k1 * (scenario.base_load + B.sum(axis=0))
+    dearest = np.where(mask & (B > _ACTIVE_TOL), price, -np.inf).max(axis=1, initial=-np.inf)
+    cheapest = np.where(mask & (B < scenario.b_max[:, None] - _ACTIVE_TOL), price, np.inf).min(axis=1, initial=np.inf)
+    return float(np.max(dearest - cheapest, initial=0.0))
 
 
 def kkt_residual(B, scenario: Scenario) -> float:
-    """Fixed-point residual of the projected-gradient map (0 at a KKT point); refuses an unreachable cap."""
-    pm, mask, demands = scenario.price, scenario.mask, scenario.demand
-    caps = scenario.load_cap - scenario.base_load
+    """Exact optimality certificate of schedule B: 0 at the least-bill schedule, positive elsewhere.
+
+    It is the largest per-EV price gap (`_price_gap`). The bill is convex
+    in B, so B is optimal without a cap exactly where no EV could move
+    charge to a cheaper slot, that is where every gap is 0; and a cap that
+    admits the demands never binds that optimum (`_decompose`). A B that
+    misses a demand, a bound, a window or the cap by more than DEFAULT_TOL
+    reads inf. Refuses an unreachable cap.
+    """
     if np.isfinite(scenario.load_cap):
-        _check_cap_feasibility([ev.id for ev in scenario.evs], np.where(mask, scenario.b_max[:, None], 0.0),
-                               demands, range(1, scenario.horizon + 1), scenario)
-    project = _feasible_projector(mask, scenario.b_max, demands, caps)
-    grad_slot = pm.k0 + 2.0 * pm.k1 * (B.sum(axis=0) + scenario.base_load)
-    step = 1.0 / (2.0 * pm.k1 * max(scenario.n_evs, 1)) if pm.k1 > 0 else 1.0
-    moved = project(B - step * np.where(mask, grad_slot[None, :], 0.0))
-    return float(np.max(np.abs(B - moved), initial=0.0) / step)
+        _check_cap_feasibility([ev.id for ev in scenario.evs], np.where(scenario.mask, scenario.b_max[:, None], 0.0),
+                               scenario.demand, range(1, scenario.horizon + 1), scenario)
+    if not validate_schedule(ChargingSchedule(B), scenario).passed:
+        return float("inf")
+    return _price_gap(B, scenario)
 
 
 def solve_rolling_step(scenario: Scenario, t: int, residuals: dict[int, float]) -> RollingStepResult:

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +50,20 @@ def fast_cfg(algorithms=("EC",), seeds=(1,), **kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+@contextmanager
+def another_thread():
+    """Keep a second thread running, so that training cannot fork."""
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        yield
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
 
 
 def write_config(tmp_path, extra=""):
@@ -231,17 +246,21 @@ class TestRunExperiment:
         assert any(m.algorithm == "OA" for m in result.metrics)
 
 
+def slow_training(monkeypatch):
+    """Make each SCA and CALC training last at least 0.2 s."""
+    for name in ("train_sca", "train_calc_stage1"):
+        def slow(*args, _train=getattr(harness, name), **kwargs):
+            time.sleep(0.2)
+            return _train(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, slow)
+
+
 class TestSharedTraining:
     def test_wall_time_excludes_only_this_calls_training(self, monkeypatch):
-        # Training made to last at least 0.2 s: seed 1 trains and must not
-        # count it; seeds 2 and 3 reuse the policy and still report their
-        # own scheduling time.
-        for name in ("train_sca", "train_calc_stage1"):
-            def slow(*args, _train=getattr(harness, name), **kwargs):
-                time.sleep(0.2)
-                return _train(*args, **kwargs)
-
-            monkeypatch.setattr(harness, name, slow)
+        # Every policy trains before the first run, so no run's wall time
+        # counts the 0.2 s; every run still reports its own scheduling time.
+        slow_training(monkeypatch)
         result = run_experiment(fast_cfg(algorithms=("SCA", "CALC"), seeds=(1, 2, 3)))
         assert result.ok, result.failures
         assert len(result.metrics) == 6
@@ -251,11 +270,41 @@ class TestSharedTraining:
             if m.seed == 1:
                 assert m.wall_time_ms < 200.0
 
+    def test_in_process_wall_time_excludes_training(self, monkeypatch):
+        # The in-process phase also trains before the first run.
+        slow_training(monkeypatch)
+        with another_thread():
+            result = run_experiment(fast_cfg(algorithms=("SCA", "CALC"), seeds=(1, 2)))
+        assert result.ok, result.failures
+        assert result.training.workers == 0
+        assert result.training.wall_ms >= 400.0
+        for m in result.metrics:
+            assert 0.0 < m.wall_time_ms < 200.0
+            assert m.train_time_ms >= 200.0
+
+    def test_failed_training_is_attempted_once_in_process(self, monkeypatch):
+        calls = []
+
+        def counted(cfg, algorithm, seed, _train=harness._train):
+            calls.append((algorithm, seed))
+            return _train(cfg, algorithm, seed)
+
+        monkeypatch.setattr(harness, "_train", counted)
+        cfg = fast_cfg(algorithms=("SCA",), seeds=(1, 2, 3))
+        cfg = replace(cfg, sca=replace(cfg.sca, reward_mode="flat-regret"))  # the per-EV env refuses it
+        with another_thread():
+            result = run_experiment(cfg)
+        assert calls == [("SCA", cfg.sca.seed)]
+        assert [(f.algorithm, f.seed) for f in result.failures] == [("SCA", 1), ("SCA", 2), ("SCA", 3)]
+        assert len({f.error for f in result.failures}) == 1 and "ValueError" in result.failures[0].error
+        assert result.training.workers == 0 and not result.training.policies
+
     def test_calc_trains_with_its_own_seed(self):
         def calc_policy(seed):
             cfg = fast_cfg(algorithms=("CALC",))
             cfg = replace(cfg, calc=replace(cfg.calc, seed=seed))
-            return harness._Trainer(cfg).policy("CALC", 1)[0]
+            key = harness._training_key(cfg, "CALC", 1)
+            return harness._train_all(cfg, [key])[0][key][0]
 
         one, seven = calc_policy(1), calc_policy(7)
         assert any(not np.array_equal(a, b) for a, b in zip(one.arrays(), seven.arrays()))
@@ -278,15 +327,14 @@ class TestConcurrentTraining:
             "AEM": aem_train(sampler, QLearnConfig(learning_rate=cfg.aem.learning_rate, discount=cfg.aem.discount,
                                                    episodes=cfg.aem.episodes, seed=1), cfg.aem.levels),
         }
-        trainer = harness._Trainer(cfg)
-        trainer.train_all(self.KEYS)
-        assert trainer.workers >= 1
+        outcomes, training = harness._train_all(cfg, self.KEYS)
+        assert training.workers >= 1
         result = run_experiment(cfg)
         assert result.ok, result.failures
         assert not multiprocessing.active_children()
         for alg in ("SCA", "CALC"):
             want = expected[alg]
-            for got in (trainer.policy(alg, 1)[1], result.curves[(alg, 2)]):
+            for got in (outcomes[(alg, 1)][1], result.curves[(alg, 2)]):
                 for a, b in zip(got.policy.arrays() + got.critic.arrays(), want.policy.arrays() + want.critic.arrays()):
                     assert a.tobytes() == b.tobytes()
                 assert got.critic.b_value == want.critic.b_value
@@ -295,7 +343,7 @@ class TestConcurrentTraining:
                 # A policy sent back from a worker keeps its fields as views of its buffer.
                 assert all(np.shares_memory(a, got.policy.flat) for a in got.policy.arrays())
                 assert [e.total_reward for e in got.episodes] == [e.total_reward for e in want.episodes]
-        table = trainer.policy("AEM", 1)[0]
+        table = outcomes[("AEM", 1)][0]
         assert table.values.tobytes() == expected["AEM"].values.tobytes()
         assert table.visit_counts.tobytes() == expected["AEM"].visit_counts.tobytes()
 
@@ -315,15 +363,8 @@ class TestConcurrentTraining:
     def test_without_fork_or_with_threads_training_stays_in_process(self, monkeypatch):
         cfg = self.cfg()
         pooled = run_experiment(cfg)
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
+        with another_thread():
             threaded = run_experiment(cfg)
-        finally:
-            release.set()
-            other.join(timeout=10)
-        assert not other.is_alive()
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         unforked = run_experiment(cfg)
         assert pooled.training.workers == min(len(os.sched_getaffinity(0)), 3)
@@ -415,6 +456,13 @@ class TestCli:
         path = tmp_path / "bad.ini"
         path.write_text("[run]\nalgorithms =\nseeds = 1\n")
         assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("value", ["1e400", "2.7", "nan"])
+    def test_integer_key_that_is_not_whole_exits_two(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, f"[sca]\nk_max = {value}\n")
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert f"'{value}' is not a whole number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)

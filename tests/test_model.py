@@ -5,6 +5,7 @@ import pytest
 
 from evchargelab.model import (
     ChargingSchedule,
+    EVArrays,
     EVProfile,
     ModelError,
     PriceModel,
@@ -191,6 +192,25 @@ class TestInvariants:
     def test_scenario_rejects_cap_below_base(self):
         with pytest.raises(ModelError):
             Scenario(horizon=2, base_load=np.array([5.0, 10.0]), evs=(), load_cap=8.0)
+
+    @pytest.mark.parametrize("build", ids=[
+        "price-k0-nan", "price-k1-inf", "ev-demand-nan", "ev-b_max-inf", "arrays-demand-nan", "arrays-b_max-inf",
+        "scenario-load_cap-nan", "scenario-base-nan", "scenario-base-inf",
+    ], argvalues=[
+        lambda: PriceModel(k0=float("nan")),
+        lambda: PriceModel(k1=float("inf")),
+        lambda: make_ev(demand=float("nan")),
+        lambda: make_ev(b_max=float("inf")),
+        lambda: EVArrays([1, 1], [2, 2], [1.0, float("nan")], [4.0, 4.0], [36.0, 36.0], [0.0, 0.0]),
+        lambda: EVArrays([1, 1], [2, 2], [1.0, 1.0], [4.0, float("inf")], [36.0, 36.0], [0.0, 0.0]),
+        lambda: make_scenario([make_ev()], horizon=2, load_cap=float("nan")),
+        lambda: make_scenario([make_ev()], horizon=2, base_load=[1.0, float("nan")]),
+        lambda: make_scenario([make_ev()], horizon=2, base_load=[1.0, float("inf")]),
+    ])
+    def test_non_finite_input_rejected(self, build):
+        # Each comparison against NaN is False, so a bare range check lets NaN through.
+        with pytest.raises(ModelError, match="finite|number"):
+            build()
 
     def test_scenario_rejects_duplicate_ids(self):
         # Schedules are per row, but OA's re-solves name EVs by id.

@@ -167,6 +167,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(reward_mode="gold-stars")
 
+    @pytest.mark.parametrize("field", ["beta_a", "beta_c"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_learning_rates_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match="learning rates"):
+            TrainConfig(**{field: value})
+
     def test_grad_clip_must_be_positive(self):
         # 0 would zero every TD error and advantage, a negative bound would
         # flip the sign of every clipped gradient; inf means no clipping.

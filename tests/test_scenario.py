@@ -176,6 +176,13 @@ class TestBaseLoad:
         with pytest.raises(BaseLoadValueError):
             load_base_series(path, 48)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_error(self, tmp_path, token):
+        path = tmp_path / "non_finite.txt"
+        path.write_text("10.0\n" * 47 + token + "\n")
+        with pytest.raises(BaseLoadValueError, match="line 48"):
+            load_base_series(path, 48)
+
     def test_parse_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("10.0\npotato\n")

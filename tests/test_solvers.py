@@ -379,6 +379,28 @@ class TestKktResidual:
         bad = np.array([[4.0, 0.0]])
         assert kkt_residual(bad, scn) > 1e-3
 
+    @pytest.mark.parametrize("row, load_cap", ids=["demand", "bound", "window", "load_cap", "non-finite"], argvalues=[
+        ([2.0, 1.9, 0.0], np.inf),
+        ([3.5, 0.5, 0.0], np.inf),
+        ([2.0, 1.9, 0.1], np.inf),
+        ([3.0, 1.0, 0.0], 3.5),
+        ([np.nan, 4.0, 0.0], np.inf),
+    ])
+    def test_infeasible_schedule_reads_inf(self, row, load_cap):
+        # One EV parked in slots 1-2 needs 4 kWh at up to 3 kWh a slot; its optimum is (2, 2, 0).
+        scn = make_scenario([make_ev(0, 1, 2, demand=4.0, b_max=3.0)], horizon=3, base_load=[1.0] * 3, k1=0.5,
+                            load_cap=load_cap)
+        assert kkt_residual(solve_offline(scn).schedule.amounts, scn) == 0.0
+        assert kkt_residual(np.array([row]), scn) == np.inf
+
+    @pytest.mark.parametrize("factor", [1.02, 1.001])
+    def test_zero_at_capped_optimum_of_fleet_104(self, factor):
+        scn, peak = fleet_104()
+        scn = replace(scn, load_cap=factor * peak)
+        sol = solve_offline(scn)
+        assert sol.kkt_residual <= 1e-12
+        assert kkt_residual(sol.schedule.amounts, scn) == sol.kkt_residual
+
 
 class TestRollingStep:
     def test_forced_single_slot(self):
