@@ -1,11 +1,15 @@
-"""Speed of the exact solvers: the OA baseline and the offline oracle, in ms per fleet.
+"""Speed of the exact solvers: the OA baseline, the offline oracle and CALC's target split, in ms per fleet.
 
 Runs `oa_schedule` and `solve_offline` on benchmark fleets 1..`--fleets`,
-once on the shipped flat base load and once on `synthetic_base_load`, and
-writes `BENCH_solvers.json`: the commit, and per base load and algorithm the
-median and fastest CPU ms per fleet over `--repeats` passes, OA's re-solve
-count, and the `_max_flow` calls with their CPU µs per call. The counts come
-from one extra pass with counting wrappers, which is not timed. Run from the
+once on the shipped flat base load and once on `synthetic_base_load`; on the
+flat base load it also runs `project_allocation` on the stage-1 targets of
+the stored CALC policy (perfbench/inputs/calc_policy.txt), once uncapped
+(`split`) and once under a load cap of 1.02x the oracle's peak, which on a
+flat base load is the least achievable peak (`split_capped`). It writes
+`BENCH_solvers.json`: the commit, and per base load and operation the median
+and fastest CPU ms per fleet over `--repeats` passes, OA's re-solve count,
+and the `_max_flow` calls with their CPU µs per call. The counts come from
+one extra pass with counting wrappers, which is not timed. Run from the
 repository root with:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 demos/bench_solvers.py --out BENCH_solvers.json
@@ -20,10 +24,15 @@ import statistics
 import subprocess
 import time
 from dataclasses import replace
+from pathlib import Path
 
 from evchargelab import baselines, solvers
 from evchargelab.harness import benchmark_spec, build_scenario
+from evchargelab.rl import load_policy
+from evchargelab.rl.train import calc_aggregate_series
 from evchargelab.scenario import synthetic_base_load
+
+CALC_POLICY = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "calc_policy.txt"
 
 
 def _commit() -> str:
@@ -50,14 +59,14 @@ def _counted(module, name, counts):
     return inner
 
 
-def _counts(run, fleets) -> dict:
-    """Re-solves and `_max_flow` calls of one untimed pass of run over the fleets."""
+def _counts(run, inputs) -> dict:
+    """Re-solves and `_max_flow` calls of one untimed pass of run over its inputs."""
     resolves, flows = {"calls": 0, "s": 0.0}, {"calls": 0, "s": 0.0}
     rolling = _counted(baselines, "solve_rolling_step", resolves)
     max_flow = _counted(solvers, "_max_flow", flows)
     try:
-        for scenario in fleets:
-            run(scenario)
+        for item in inputs:
+            run(item)
     finally:
         baselines.solve_rolling_step, solvers._max_flow = rolling, max_flow
     return {"resolves": resolves["calls"], "max_flow_calls": flows["calls"],
@@ -77,18 +86,30 @@ def main(argv=None) -> dict:
                   "synthetic": [replace(sc, base_load=synthetic_base_load(sc.horizon)) for sc in flat]}
     report = {"bench": "solvers", "commit": args.commit or _commit(), "fleets": args.fleets,
               "repeats": args.repeats, "python": platform.python_version(), "base_loads": {}}
+    calc = load_policy(CALC_POLICY)
+    targets = [calc_aggregate_series(calc, sc) for sc in flat]
+    capped = [replace(sc, load_cap=1.02 * float((solvers.solve_offline(sc).schedule.slot_totals() + sc.base_load).max()))
+              for sc in flat]
+
+    def split(pair):
+        return solvers.project_allocation(pair[1], pair[0])
+
     for load, fleets in base_loads.items():
+        runs = [("OA", baselines.oa_schedule, fleets), ("oracle", solvers.solve_offline, fleets)]
+        if load == "flat":
+            runs += [("split", split, list(zip(flat, targets))), ("split_capped", split, list(zip(capped, targets)))]
         results = {}
-        for name, run in (("OA", baselines.oa_schedule), ("oracle", solvers.solve_offline)):
+        for name, run, inputs in runs:
             passes = []
             for _ in range(args.repeats):
                 t0 = time.process_time()
-                for scenario in fleets:
-                    run(scenario)
-                passes.append(1e3 * (time.process_time() - t0) / len(fleets))
+                for item in inputs:
+                    run(item)
+                passes.append(1e3 * (time.process_time() - t0) / len(inputs))
             results[name] = {"median_ms": round(statistics.median(passes), 3), "fastest_ms": round(min(passes), 3),
-                             **_counts(run, fleets)}
-        del results["oracle"]["resolves"]  # the oracle solves once, with no rolling re-solve
+                             **_counts(run, inputs)}
+            if name != "OA":  # only OA re-solves
+                del results[name]["resolves"]
         report["base_loads"][load] = results
     text = json.dumps(report, indent=2)
     with open(args.out, "w") as fh:

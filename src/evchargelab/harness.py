@@ -247,6 +247,9 @@ def load_config(path) -> ExperimentConfig:
     try:
         spec = _section(parser, "fleet", _section(parser, "scenario", ScenarioSpec(), _SCENARIO_KEYS), _FLEET_KEYS)
         spec = replace(spec, price=_section(parser, "price", spec.price, _PRICE_KEYS))
+        # The model's own checks refuse a base load or cap no scenario can have.
+        Scenario(horizon=spec.horizon, base_load=_fleet_source(spec)[0], evs=(), price=spec.price,
+                 load_cap=spec.load_cap)
         run = _fields(parser, "run", _RUN_KEYS)
         return ExperimentConfig(
             scenario=spec,

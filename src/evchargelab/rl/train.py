@@ -317,7 +317,7 @@ def _run_training(env_cls, scenario_sampler, cfg: TrainConfig) -> TrainResult:
         reward_history.append(total_reward)
         window = reward_history[-_MOVING_WINDOW:]
         moving = float(np.mean(window))
-        wall_ms = (time.perf_counter() - episode_t0[row]) * 1e3
+        wall_ms = (time.perf_counter() - float(episode_t0[row])) * 1e3
         episodes.append(EpisodeRecord(len(episodes), row, int(episode_steps[row]), total_reward, moving, wall_ms))
         if len(reward_history) % _MOVING_WINDOW == 0:
             if len(reward_history) == _MOVING_WINDOW:

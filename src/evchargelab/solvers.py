@@ -1,4 +1,4 @@
-"""Deterministic optimization: offline oracle, rolling step, projection allocator.
+"""Deterministic optimization: offline oracle, rolling step, target split.
 
 The offline problem is a convex QP whose bill depends only on the slot
 totals. The oracle and the rolling step solve it exactly by a decomposition
@@ -6,10 +6,11 @@ into max-flows (`_decompose`). Whether a finite load cap admits the demands
 at all is decided once per solve by a max-flow, whose minimum cut is the
 infeasibility certificate. The optimality certificate (`kkt_residual`) is
 exact and needs no projection: the largest per-EV gap between the unit
-prices of a slot that charges and a slot with room. The feasible-set
-projection of the allocator is exact too: a row-wise capped-simplex
-projection when the load cap is slack, and projected Newton on the slot
-multipliers of the cap when it binds.
+prices of a slot that charges and a slot with room. The split of an
+aggregate target (`project_allocation`) is exact too: the same
+decomposition, with the target in place of the price offset and the load
+cap's room as a per-slot bound, returns the schedule whose slot totals miss
+the target least in squares.
 
 Every max-flow (`_max_flow`) runs Dinic's method on a residual graph built
 from arrays: the edge tails, heads and capacities (edge 2k forward, 2k + 1
@@ -26,12 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DEFAULT_TOL, ChargingSchedule, Scenario, bill, validate_schedule
-from .projections import _row_shifts, project_cols_capped_simplex, project_rows_capped_simplex
+from .projections import _row_shifts
 
-DEFAULT_MAX_ITER = 50000
-_NEWTON_MAX_ITER = 100
-_NEWTON_TOL = 1e-12  # dual residual, relative to the largest slot room
-_ARMIJO_MAX_HALVINGS = 40
 _ACTIVE_TOL = 1e-9  # kWh: an amount above it charges, one below b_max by more has room
 
 
@@ -41,10 +38,6 @@ class SolverError(RuntimeError):
 
 class InfeasibleScenarioError(SolverError):
     """No schedule can satisfy the demands within the bounds and load cap."""
-
-
-class ConvergenceError(SolverError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -67,10 +60,10 @@ class RollingStepResult:
 @dataclass(frozen=True)
 class ProjectionResult:
     schedule: ChargingSchedule
-    distance: float  # squared-norm gap to the nearest schedule whose column sums equal the clipped target
+    distance: float  # squared slot-total miss, sum_t (S_t - clipped_t)^2
     clipped_target: np.ndarray
     clip_magnitude: float  # total kWh removed from the raw target
-    iterations: int  # descent rounds; 0 when a max-flow met the target exactly
+    iterations: int  # max-flows spent; 0 when one max-flow met the target exactly
 
 
 def _check_per_ev_feasibility(ids, upper, demands):
@@ -197,102 +190,17 @@ def _check_cap_feasibility(ids, upper, demands, window: range, scenario: Scenari
     )
 
 
-def _feasible_projector(mask, b_max, demands, caps):
-    """Euclidean projection onto {row sums = demands, 0 <= x <= b_max in window, column sums <= caps}.
-
-    Without a binding cap this is the row-wise capped-simplex projection.
-    Otherwise it maximizes the concave dual over the slot multipliers
-    mu >= 0, where x(mu) is the row projection of B - mu and the dual
-    gradient is colsum(x(mu)) - caps, by projected Newton (Bertsekas 1982).
-    The generalized Hessian is diag(f) - F' diag(1/|F_i|) F, F marking the
-    entries strictly inside their bounds; rows with no free entry add
-    nothing. mu is kept between calls as the next call's warm start. The
-    caller must have checked that the capped set is not empty.
-    """
-    upper = np.where(mask, b_max[:, None], 0.0)
-    totals = np.clip(demands, 0.0, upper.sum(axis=1))
-    # A cap above what a slot can ever take never binds; this keeps room finite.
-    room = np.minimum(caps, upper.sum(axis=0) + 1.0)
-    scale = max(1.0, float(np.max(room)))
-    mu = np.zeros(len(caps))
-
-    def dual(V, m):
-        """x(m), the gradient room - colsum(x(m)) of the negated dual, and its value."""
-        W = V - m
-        X = np.clip(W - _row_shifts(W, upper, totals)[:, None], 0.0, upper)
-        grad = room - X.sum(axis=0)
-        return X, grad, float(m @ grad - 0.5 * np.sum((X - V) ** 2))
-
-    def stationarity(m, grad):
-        """Largest violation of mu >= 0, grad >= 0, mu * grad = 0."""
-        return float(np.abs(m - np.maximum(m - grad, 0.0)).max())
-
-    def project(B):
-        nonlocal mu
-        X = project_rows_capped_simplex(B, b_max, demands, mask)
-        if np.all(X.sum(axis=0) <= caps):
-            return X
-        V = np.where(mask, B, 0.0)
-        X, grad, value = dual(V, mu)
-        residual = stationarity(mu, grad)
-        for _iteration in range(_NEWTON_MAX_ITER):
-            if residual <= _NEWTON_TOL * scale:
-                break
-            # The residual sets both the band of multipliers held at 0 and
-            # the regularization, so both vanish as the iterates converge.
-            eps = min(residual, 1.0)
-            held = (mu <= eps) & (grad > 0.0)
-            free = ~held
-            F = ((X > 0.0) & (X < upper)).astype(float)
-            counts = F.sum(axis=1)
-            weights = np.where(counts > 0.0, 1.0 / np.maximum(counts, 1.0), 0.0)
-            H = np.diag(F.sum(axis=0)) - (F * weights[:, None]).T @ F
-            H = H[np.ix_(free, free)] + eps * np.eye(int(free.sum()))
-            step = np.where(held, -grad, 0.0)
-            step[free] = -np.linalg.solve(H, grad[free])
-            alpha = 1.0
-            for _halving in range(_ARMIJO_MAX_HALVINGS):
-                trial = np.maximum(mu + alpha * step, 0.0)
-                X_t, grad_t, value_t = dual(V, trial)
-                residual_t = stationarity(trial, grad_t)
-                gain = -alpha * (grad[free] @ step[free]) + grad[held] @ (mu[held] - trial[held])
-                if value - value_t >= 1e-4 * gain:
-                    break
-                # Near the optimum the dual moves by less than its rounding
-                # error; a step that halves the residual is then taken as is.
-                if abs(value - value_t) <= 1e-12 * (1.0 + abs(value)) and residual_t <= 0.5 * residual:
-                    break
-                alpha *= 0.5
-            else:
-                break
-            mu, X, grad, value, residual = trial, X_t, grad_t, value_t, residual_t
-        if np.any(X.sum(axis=0) > caps + DEFAULT_TOL):
-            raise ConvergenceError(
-                f"capped projection stalled: column excess {np.max(X.sum(axis=0) - caps):.3g} kWh"
-            )
-        return X
-
-    return project
-
-
-def _decompose(ids, upper, demands, window: range, scenario: Scenario):
+def _least_bill(ids, upper, demands, window: range, scenario: Scenario):
     """Exact least-bill schedule over the slots of `window` with 0 <= X <= upper and row sums =
     demands, and its max-flow count.
 
     The bill depends only on the slot totals S, as sum k1*(S_t + c_t)^2 plus a
-    constant, with c = base + k0/(2*k1), and the achievable S form a
-    polymatroid base, so the decomposition algorithm finds the optimum with a
-    few max-flows (Fujishige 1980). On a block of EVs and slots it routes the
-    water level S_t = clip(lam - c_t, 0, slot room) that meets the demand. If
-    the flow carries every demand, it is the block's schedule. Otherwise the
-    minimum cut splits the block: the source-side EVs charge at full rate on
-    the sink-side slots and keep the rest of their demand for the
-    source-side slots (a high block); the other EVs take the sink-side slots,
-    with that full-rate load added to c (a low block). The optimum also has
-    the least peak of base plus EV load, so a load cap that admits the
-    demands (a max-flow decides, with a minimum cut as certificate) never
-    binds it. With k1 = 0 every feasible schedule costs the same, and one
-    max-flow returns one; otherwise identical EVs get identical rows.
+    constant, with c = base + k0/(2*k1), so `_decompose` finds the optimum.
+    It also has the least peak of base plus EV load, so a load cap that
+    admits the demands (a max-flow decides, with a minimum cut as
+    certificate) never binds it, and the decomposition runs uncapped. With
+    k1 = 0 every feasible schedule costs the same, and one max-flow returns
+    one.
     """
     _check_per_ev_feasibility(ids, upper, demands)
     pm, base = scenario.price, scenario.base_load[window.start - 1 : window.stop - 1]
@@ -300,13 +208,32 @@ def _decompose(ids, upper, demands, window: range, scenario: Scenario):
         _check_cap_feasibility(ids, upper, demands, window, scenario)
     if pm.k1 == 0.0:
         return _max_flow(demands, upper, np.minimum(scenario.load_cap - base, upper.sum(axis=0)))[3], 1
+    return _decompose(upper, demands, base + pm.k0 / (2.0 * pm.k1), np.full(len(window), np.inf))
+
+
+def _decompose(upper, demands, c, cap_room):
+    """Schedule with 0 <= X <= upper and row sums = demands whose slot totals S minimise
+    sum (S_t + c_t)^2 subject to S_t <= cap_room_t, and its max-flow count.
+
+    The achievable S form a polymatroid base, so the decomposition algorithm
+    finds the optimum with a few max-flows (Fujishige 1980). On a block of
+    EVs and slots it routes the water level S_t = clip(lam - c_t, 0, room_t)
+    that meets the demand, room_t being the lesser of the block's column room
+    and its cap room. If the flow carries every demand, it is the block's
+    schedule. Otherwise the minimum cut splits the block: the source-side
+    EVs charge at full rate on the sink-side slots and keep the rest of their
+    demand for the source-side slots (a high block); the other EVs take the
+    sink-side slots, with that full-rate load added to c and taken from the
+    cap room (a low block). The caller must have checked that the demands
+    fit. Identical EVs get identical rows.
+    """
     X = np.zeros(upper.shape)
     flows = 0
-    stack = [(np.arange(upper.shape[0]), np.arange(upper.shape[1]), demands, base + pm.k0 / (2.0 * pm.k1))]
+    stack = [(np.arange(upper.shape[0]), np.arange(upper.shape[1]), demands, c, cap_room)]
     while stack:
-        rows, cols, d, c = stack.pop()
+        rows, cols, d, c, cap = stack.pop()
         U = upper[np.ix_(rows, cols)]
-        room = U.sum(axis=0)
+        room = np.minimum(U.sum(axis=0), cap)
         level = np.clip(-c - _row_shifts(-c[None, :], room[None, :], np.array([d.sum()])), 0.0, room)
         _, evs, slots, F = _max_flow(d, U, level)
         flows += 1
@@ -316,9 +243,10 @@ def _decompose(ids, upper, demands, window: range, scenario: Scenario):
             X[np.ix_(rows, cols)] = F
             continue
         full = U[evs][:, ~slots]
+        load = full.sum(axis=0)
         X[np.ix_(rows[evs], cols[~slots])] = full
-        for block in ((rows[evs], cols[slots], np.maximum(d[evs] - full.sum(axis=1), 0.0), c[slots]),
-                      (rows[~evs], cols[~slots], d[~evs], c[~slots] + full.sum(axis=0))):
+        for block in ((rows[evs], cols[slots], np.maximum(d[evs] - full.sum(axis=1), 0.0), c[slots], cap[slots]),
+                      (rows[~evs], cols[~slots], d[~evs], c[~slots] + load, np.maximum(cap[~slots] - load, 0.0))):
             if block[0].size and block[1].size:
                 stack.append(block)
     # Identical EVs (equal rows of upper and demands; + 0.0 maps -0.0 to 0.0)
@@ -335,7 +263,7 @@ def _decompose(ids, upper, demands, window: range, scenario: Scenario):
 def solve_offline(scenario: Scenario) -> QpSolution:
     """Minimize total charging cost with full knowledge of the fleet.
 
-    The schedule is exact (`_decompose`); `iterations` counts its max-flows
+    The schedule is exact (`_least_bill`); `iterations` counts its max-flows
     and `kkt_residual` is the schedule's price gap, as `kkt_residual`
     computes it but without the feasibility checks the construction makes
     redundant.
@@ -344,7 +272,7 @@ def solve_offline(scenario: Scenario) -> QpSolution:
         return QpSolution(ChargingSchedule(np.zeros((0, scenario.horizon))), 0.0, 0, 0.0)
     ids = [ev.id for ev in scenario.evs]
     upper = np.where(scenario.mask, scenario.b_max[:, None], 0.0)
-    B, flows = _decompose(ids, upper, scenario.demand, range(1, scenario.horizon + 1), scenario)
+    B, flows = _least_bill(ids, upper, scenario.demand, range(1, scenario.horizon + 1), scenario)
     return QpSolution(ChargingSchedule(B), bill(B.sum(axis=0), scenario.base_load, scenario.price), flows,
                       _price_gap(B, scenario))
 
@@ -393,21 +321,20 @@ def solve_rolling_step(scenario: Scenario, t: int, residuals: dict[int, float]) 
     upper = np.where(scenario.mask[rows, t - 1 : t_end], scenario.b_max[rows, None], 0.0)
     demands = np.maximum([residuals[i] for i in ids], 0.0)
     window = range(t, t_end + 1)
-    amounts, _ = _decompose(ids, upper, demands, window, scenario)
+    amounts, _ = _least_bill(ids, upper, demands, window, scenario)
     return RollingStepResult(ev_ids=ids, window=window, amounts=amounts)
 
 
 def project_allocation(aggregate_target, scenario: Scenario) -> ProjectionResult:
-    """Split a per-slot aggregate charging target into a demand-feasible schedule.
+    """Split a per-slot aggregate charging target into the demand-feasible schedule that tracks it best.
 
     The target is first clipped to what the parked fleet and the load cap can
     absorb per slot; the clipped amount is reported, never raised. A clipped
     target that some schedule meets is split exactly by a max-flow, with
-    distance 0. Otherwise accelerated projected gradient with step 1 on
-    f(B) = 0.5 |B - P(B)|^2 over the feasible set, P the projection onto the
-    target-matching set, finds the closest pair (B, P(B)); its momentum
-    restarts when the step goes against the gradient at the extrapolated
-    point (Beck & Teboulle 2009; O'Donoghue & Candes 2015).
+    distance 0. Otherwise the schedule is the one whose slot totals S
+    minimise sum_t (S_t - clipped_t)^2 under the demands, rates, windows and
+    load cap, found exactly by the oracle's decomposition with c = -clipped
+    and the cap room (`_decompose`).
     """
     mask, b_max, demands = scenario.mask, scenario.b_max, scenario.demand
     ids = [ev.id for ev in scenario.evs]
@@ -416,29 +343,18 @@ def project_allocation(aggregate_target, scenario: Scenario) -> ProjectionResult
     target = np.asarray(aggregate_target, dtype=float)
     if target.shape != (scenario.horizon,):
         raise SolverError(f"target length {target.shape} does not match horizon {scenario.horizon}")
-    caps = scenario.load_cap - scenario.base_load
+    cap_room = np.maximum(scenario.load_cap - scenario.base_load, 0.0)
     if np.isfinite(scenario.load_cap):
         _check_cap_feasibility(ids, upper, demands, range(1, scenario.horizon + 1), scenario)
-    clipped = np.clip(target, 0.0, np.minimum(upper.sum(axis=0), caps))
+    clipped = np.clip(target, 0.0, np.minimum(upper.sum(axis=0), cap_room))
     clip_magnitude = float(np.sum(np.abs(target - clipped)))
 
+    tried = 0
     if abs(clipped.sum() - demands.sum()) <= DEFAULT_TOL:
         flow, _, _, X = _max_flow(demands, upper, clipped)
         if flow >= demands.sum() - DEFAULT_TOL:
             return ProjectionResult(ChargingSchedule(X), 0.0, clipped, clip_magnitude, 0)
-    project = _feasible_projector(mask, b_max, demands, caps)
-    B = Y = project(project_cols_capped_simplex(np.zeros(upper.shape), upper, clipped))
-    t_mom = 1.0
-    for iterations in range(1, DEFAULT_MAX_ITER + 1):
-        B_new = project(project_cols_capped_simplex(Y, upper, clipped))
-        step = B_new - B
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        if np.sum((Y - B_new) * step) > 0.0:
-            t_next, Y = 1.0, B_new
-        else:
-            Y = B_new + ((t_mom - 1.0) / t_next) * step
-        B, t_mom = B_new, t_next
-        if np.max(np.abs(step)) < 0.1 * DEFAULT_TOL:
-            break
-    distance = float(np.sum((B - project_cols_capped_simplex(B, upper, clipped)) ** 2))
-    return ProjectionResult(ChargingSchedule(B), distance, clipped, clip_magnitude, iterations)
+        tried = 1
+    X, flows = _decompose(upper, demands, -clipped, cap_room)
+    distance = float(np.sum((X.sum(axis=0) - clipped) ** 2))
+    return ProjectionResult(ChargingSchedule(X), distance, clipped, clip_magnitude, tried + flows)

@@ -464,6 +464,17 @@ class TestCli:
         assert f"'{value}' is not a whole number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("setting, message", ids=["cap nan", "negative base load"], argvalues=[
+        ("base_load_low_kwh = 5.0\nload_cap_kwh = nan", "load_cap must be a number"),
+        ("base_load_low_kwh = -1", "base_load entries must be finite and non-negative"),
+    ])
+    def test_bad_scenario_value_exits_two(self, tmp_path, capsys, setting, message):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace("base_load_low_kwh = 5.0", setting))
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
         override = tmp_path / "elsewhere"

@@ -265,6 +265,10 @@ class TestTraining:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "episode,steps,moving_reward,wall_ms"
         assert len(lines) == len(result.episodes) + 1
+        # Every field is a number (wall_ms was written as "np.float64(...)").
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == 4 and all(np.isfinite(float(field)) for field in fields), line
 
     def test_single_worker_deterministic(self):
         scn = random_feasible_scenario(np.random.default_rng(43))
@@ -420,7 +424,7 @@ class TestLockstep:
             "sca": (sca_schedule, "9fee8f59319c6ab48beb62946a44ee86d1a72855db7fd33564657aa63d9797aa",
                     "1dc39d73e5bf65657dab94b5cd407fea8d74850571b8ff8d9abe650bec66f933"),
             "calc": (calc_schedule, "8f159831312351063a8e060d6435f119a0124b7462ec5714f1024492096370c2",
-                     "4ec47fb475925a241d474e7fe4219372267c7ed6b03c8883eae041d5e244a184"),
+                     "e2eb2771af0f9cd649f05f456c6276a73d50edd5f63fe0eac988f42851c08f02"),
         }
         for name, (schedule, probe, digest) in want.items():
             policy = load_policy(inputs / f"{name}_policy.txt")

@@ -1,4 +1,4 @@
-"""Offline oracle, rolling step, and projection allocator tests.
+"""Offline oracle, rolling step, and target split tests.
 
 SciPy (QP and LP references) and networkx (max-flow) serve only as
 oracles here; the library itself is NumPy-only.
@@ -20,7 +20,6 @@ from evchargelab.projections import project_rows_capped_simplex
 from evchargelab.scenario import synthetic_base_load
 from evchargelab.solvers import (
     InfeasibleScenarioError,
-    _feasible_projector,
     _max_flow,
     kkt_residual,
     project_allocation,
@@ -227,28 +226,6 @@ def lp_min_peak(scn):
     return float(res.fun)
 
 
-def qp_projection(V, mask, b_max, demands, caps):
-    """Reference projection onto the capped set by SciPy's SLSQP."""
-    rows, cols = np.nonzero(mask)
-    m = rows.size
-    a_eq = np.zeros((mask.shape[0], m))
-    a_eq[rows, np.arange(m)] = 1.0
-    a_ub = np.zeros((mask.shape[1], m))
-    a_ub[cols, np.arange(m)] = 1.0
-    v = V[mask]
-    constraints = [
-        {"type": "eq", "fun": lambda x: a_eq @ x - demands, "jac": lambda x: a_eq},
-        {"type": "ineq", "fun": lambda x: caps - a_ub @ x, "jac": lambda x: -a_ub},
-    ]
-    start = project_rows_capped_simplex(V, b_max, demands, mask)[mask]
-    res = minimize(lambda x: 0.5 * np.sum((x - v) ** 2), start, jac=lambda x: x - v, method="SLSQP",
-                   bounds=[(0.0, b_max[i]) for i in rows], constraints=constraints,
-                   options={"ftol": 1e-16, "maxiter": 500})
-    X = np.zeros(mask.shape)
-    X[mask] = res.x
-    return X
-
-
 def random_capped_instance(rng):
     """Windows, rates, demands and binding caps that some schedule meets.
 
@@ -277,32 +254,6 @@ def networkx_max_flow(mask, b_max, demands, caps):
     for t, c in enumerate(caps):
         graph.add_edge(("slot", t), "sink", capacity=float(c))
     return nx.maximum_flow_value(graph, "source", "sink")
-
-
-class TestCappedProjection:
-    def test_matches_qp_reference(self):
-        # The last instance is fleet 104 at 1.02x its least peak, where
-        # Dykstra started from the row projection of V instead of from V
-        # misses the projection: 0.5*|X - V|^2 = 652.23 against 635.10.
-        rng = np.random.default_rng(2024)
-        instances = [random_capped_instance(rng) for _ in range(19)]
-        scn, peak = fleet_104()
-        scn = replace(scn, load_cap=1.02 * peak)
-        instances.append((scn.mask, scn.b_max, scn.demand, scn.load_cap - scn.base_load))
-        for k, (mask, b_max, demands, caps) in enumerate(instances):
-            V = (np.random.default_rng(0).normal(2.0, 2.0, mask.shape) if k == 19
-                 else rng.normal(1.0, 3.0, mask.shape))
-            X = _feasible_projector(mask, b_max, demands, caps)(V)
-            assert np.max(np.abs(X - qp_projection(V, mask, b_max, demands, caps))) <= 1e-9
-
-    def test_warm_start_keeps_the_answer(self):
-        rng = np.random.default_rng(7)
-        mask, b_max, demands, caps = random_capped_instance(rng)
-        warm = _feasible_projector(mask, b_max, demands, caps)
-        for _ in range(5):
-            V = rng.normal(1.0, 3.0, mask.shape)
-            cold = _feasible_projector(mask, b_max, demands, caps)(V)
-            assert warm(V) == pytest.approx(cold, abs=1e-10)
 
 
 def assert_max_flow_matches_networkx(mask, b_max, demands, caps):
@@ -499,11 +450,40 @@ class TestProjectAllocation:
             res = project_allocation(target, scn)
             assert res.iterations > 0
             assert validate_schedule(res.schedule, scn, tol=1e-6).passed
-            assert res.distance == pytest.approx(qp_closest_pair(scn, res.clipped_target), abs=1e-7)
+            reference = qp_slot_totals(scn, res.clipped_target)
+            assert res.distance == pytest.approx(np.sum((reference - res.clipped_target) ** 2), abs=1e-7)
+
+    @pytest.mark.parametrize("cap", ["uncapped", "with_cap", "least peak + 0.1"])
+    def test_split_matches_slot_total_qp(self, cap):
+        rng = np.random.default_rng(41)
+        for k in range(10):
+            scn = random_feasible_scenario(np.random.default_rng(500 + k), with_cap=cap == "with_cap")
+            if cap == "least peak + 0.1":
+                scn = replace(scn, load_cap=lp_min_peak(scn) + 0.1)
+            target = rng.uniform(0.0, 2.0, scn.horizon) * scn.demand.sum() / scn.horizon
+            res = project_allocation(target, scn)
+            assert validate_schedule(res.schedule, scn).passed
+            reference = qp_slot_totals(scn, res.clipped_target)
+            assert np.max(np.abs(res.schedule.slot_totals() - reference)) <= 1e-7
+
+    def test_low_block_takes_cap_room_net_of_full_rate_load(self):
+        # EVs 0 and 2 must charge 5 kWh in slot 2, which leaves EV 1 only
+        # 1 kWh of the 6 kWh cap there, so EV 1 puts its other kWh in slot 1.
+        # Counting only EV 1's own load against the cap put 1.5 kWh in slot 2
+        # and broke the cap by 0.5 kWh.
+        evs = [make_ev(0, 2, 3, demand=6.0, b_max=3.0), make_ev(1, 1, 3, demand=2.0, b_max=3.0),
+               make_ev(2, 2, 2, demand=2.0, b_max=3.0)]
+        scn = make_scenario(evs, horizon=3, load_cap=6.0)
+        res = project_allocation(np.array([0.0, 6.0, 1.0]), scn)
+        assert res.schedule.amounts == pytest.approx(np.array([[0.0, 3.0, 3.0], [1.0, 1.0, 0.0], [0.0, 2.0, 0.0]]),
+                                                     abs=1e-12)
+        assert res.distance == pytest.approx(5.0, abs=1e-12)
+        assert validate_schedule(res.schedule, scn).passed
 
 
-def qp_closest_pair(scn, clipped):
-    """min |B - B*|^2 over demand-feasible B and B* with column sums = clipped, by SLSQP."""
+def qp_slot_totals(scn, clipped):
+    """Slot totals S of a demand-, rate-, window- and cap-feasible schedule that minimise
+    sum_t (S_t - clipped_t)^2, by SLSQP."""
     mask = scn.mask
     rows, cols = np.nonzero(mask)
     m = rows.size
@@ -511,21 +491,14 @@ def qp_closest_pair(scn, clipped):
     ones[rows, np.arange(m)] = 1.0
     by_slot = np.zeros((scn.horizon, m))
     by_slot[cols, np.arange(m)] = 1.0
-    zero = np.zeros_like(by_slot)
-    used = mask.any(axis=0)  # an empty slot's equation 0 = 0 would make the system singular
-    a_eq = np.block([[ones, np.zeros_like(ones)], [zero[used], by_slot[used]]])
-    b_eq = np.concatenate([scn.demand, clipped[used]])
-    a_ub = np.hstack([by_slot, zero])
     room = np.minimum(scn.load_cap - scn.base_load, 1e6)
-    diff = np.hstack([np.eye(m), -np.eye(m)])
     constraints = [
-        {"type": "eq", "fun": lambda x: a_eq @ x - b_eq, "jac": lambda x: a_eq},
-        {"type": "ineq", "fun": lambda x: room - a_ub @ x, "jac": lambda x: -a_ub},
+        {"type": "eq", "fun": lambda x: ones @ x - scn.demand, "jac": lambda x: ones},
+        {"type": "ineq", "fun": lambda x: room - by_slot @ x, "jac": lambda x: -by_slot},
     ]
-    start = np.concatenate([project_rows_capped_simplex(np.zeros(mask.shape), scn.b_max,
-                                                        scn.demand, mask)[mask], np.zeros(m)])
-    bounds = [(0.0, scn.b_max[i]) for i in rows] * 2
-    res = minimize(lambda x: np.sum((diff @ x) ** 2), start, jac=lambda x: 2.0 * diff.T @ (diff @ x),
-                   method="SLSQP", bounds=bounds, constraints=constraints,
+    start = project_rows_capped_simplex(np.zeros(mask.shape), scn.b_max, scn.demand, mask)[mask]
+    res = minimize(lambda x: np.sum((by_slot @ x - clipped) ** 2), start,
+                   jac=lambda x: 2.0 * by_slot.T @ (by_slot @ x - clipped), method="SLSQP",
+                   bounds=[(0.0, scn.b_max[i]) for i in rows], constraints=constraints,
                    options={"ftol": 1e-16, "maxiter": 1000})
-    return float(res.fun)
+    return by_slot @ res.x
