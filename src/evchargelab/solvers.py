@@ -13,11 +13,15 @@ cap's room as a per-slot bound, returns the schedule whose slot totals miss
 the target least in squares.
 
 Every max-flow (`_max_flow`) runs Dinic's method on a residual graph built
-from arrays: the edge tails, heads and capacities (edge 2k forward, 2k + 1
-its reverse) come from NumPy, and each node's adjacency from one stable
-argsort of the tails. The augmenting loop runs on the arrays' Python lists,
-which visit the edges in a fixed order, so flows and cuts are reproducible
-bit for bit.
+from arrays (edge 2k forward, 2k + 1 its reverse). Each node's edges are a
+range of one flat edge list and one flat head list, from one stable argsort
+of the edge tails, so edges are visited in a fixed order and flows and cuts
+are reproducible bit for bit. Dinic's first phase is a greedy fill: from
+zero flow every augmenting path is source -> EV -> slot -> sink, and the
+phase's walk takes the EVs in row order and each EV's slots in column order,
+pushing min(supply left, rate, room left) wherever all three exceed eps. The
+fill makes those tests and pushes in that order, so the later phases start
+from the same residual graph and every flow, cut and schedule keeps its bits.
 """
 
 from __future__ import annotations
@@ -90,28 +94,47 @@ def _max_flow(supply, upper, room):
 
     Dinic's blocking-flow method (Dinic 1970) on the residual graph. Returns
     the flow value, the source side of a minimum cut as boolean masks over
-    EVs and slots, and the EV -> slot flows as an (n, T) matrix.
+    EVs and slots, and the EV -> slot flows as an (n, T) matrix. The first
+    phase is a greedy fill that pushes what Dinic's walk would (module docstring).
     """
     n, T = upper.shape
     sink = n + T + 1
     rows, cols = np.nonzero(upper > 0.0)
+    m = rows.size
     # Edges source -> EV, EV -> slot (row-major), slot -> sink; edge 2k is
-    # the k-th of them and 2k + 1 its reverse, with no capacity.
-    tails = np.concatenate([np.zeros(n, dtype=np.intp), 1 + rows, 1 + n + np.arange(T)])
-    heads = np.concatenate([1 + np.arange(n), 1 + n + cols, np.full(T, sink)])
-    ends = np.column_stack([tails, heads]).reshape(-1)
-    heads = np.column_stack([heads, tails]).reshape(-1)
-    head = heads.tolist()
+    # the k-th of them and 2k + 1 its reverse, with no capacity. Edge e runs
+    # from node ends[e] to node ends[e ^ 1].
+    ends = np.empty(2 * (n + m + T), dtype=np.intp)
+    ends[::2] = np.concatenate([np.zeros(n, dtype=np.intp), rows + 1, np.arange(n + 1, sink)])
+    ends[1::2] = np.concatenate([np.arange(1, n + 1), cols + (n + 1), np.full(T, sink)])
     cap = np.zeros(ends.size)
     cap[::2] = np.concatenate([supply, upper[rows, cols], room])
     cap = cap.tolist()
-    # Each node's (edge, head) pairs in edge order: one stable sort of the edge tails.
+    # Node u's edges in edge order are edges[bounds[u] : bounds[u + 1]], leading
+    # to the nodes in the same places of `to`: one stable sort of the edge tails.
     order = np.argsort(ends, kind="stable")
-    pairs = list(zip(order.tolist(), heads[order].tolist()))
-    bounds = np.concatenate([[0], np.bincount(ends, minlength=sink + 1).cumsum()]).tolist()
-    adj = [pairs[bounds[u] : bounds[u + 1]] for u in range(sink + 1)]
+    edges, to, tail = order.tolist(), ends[order ^ 1].tolist(), ends.tolist()
+    bounds = [0] + np.bincount(ends, minlength=sink + 1).cumsum().tolist()
     eps = 1e-12 * max(1.0, float(np.sum(supply)))
     flow = 0.0
+    # The first phase. EV i (node i + 1) lists the reverse of its source edge
+    # 2i first, then its slot edges; slot node v's edge to the sink is 2(m + v - 1).
+    for i in range(n):
+        left, back = cap[2 * i], cap[2 * i + 1]
+        for p in range(bounds[i + 1] + 1, bounds[i + 2]):
+            if not left > eps:
+                break
+            e, r = edges[p], 2 * (m + to[p] - 1)
+            if cap[e] > eps and cap[r] > eps:
+                pushed = min(left, cap[e], cap[r])
+                left -= pushed
+                back += pushed
+                cap[e] -= pushed
+                cap[e + 1] += pushed
+                cap[r] -= pushed
+                cap[r + 1] += pushed
+                flow += pushed
+        cap[2 * i], cap[2 * i + 1] = left, back
     while True:
         level = [-1] * (sink + 1)
         level[0] = 0
@@ -119,8 +142,9 @@ def _max_flow(supply, upper, room):
         # Breadth-first levels, up to the sink's: a node past it is a dead end.
         for u in queue:
             below = level[u] + 1
-            for e, v in adj[u]:
-                if cap[e] > eps and level[v] < 0:
+            for i in range(bounds[u], bounds[u + 1]):
+                v = to[i]
+                if level[v] < 0 and cap[edges[i]] > eps:
                     level[v] = below
                     queue.append(v)
             if level[sink] >= 0:
@@ -131,9 +155,23 @@ def _max_flow(supply, upper, room):
         # After a push the walk resumes at the tail of the first edge the push
         # left without capacity: a restart from the source would walk the same
         # edges up to there.
-        nxt = [0] * (sink + 1)
+        nxt = bounds[:-1]
         path, u = [], 0
         while True:
+            i, k, below = nxt[u], bounds[u + 1], level[u] + 1
+            while i < k:
+                if level[to[i]] == below and cap[edges[i]] > eps:
+                    break
+                i += 1
+            nxt[u] = i
+            if i == k:
+                if not path:
+                    break
+                u = tail[path.pop()]
+                nxt[u] += 1
+                continue
+            path.append(edges[i])
+            u = to[i]
             if u == sink:
                 pushed = min([cap[e] for e in path])
                 for e in path:
@@ -143,29 +181,12 @@ def _max_flow(supply, upper, room):
                 j = 0
                 while cap[path[j]] > eps:
                     j += 1
-                u = head[path[j] ^ 1]
+                u = tail[path[j]]
                 del path[j:]
-                continue
-            edges, i, below = adj[u], nxt[u], level[u] + 1
-            k = len(edges)
-            while i < k:
-                e, v = edges[i]
-                if cap[e] > eps and level[v] == below:
-                    break
-                i += 1
-            nxt[u] = i
-            if i == k:
-                if not path:
-                    break
-                u = head[path.pop() ^ 1]
-                nxt[u] += 1
-                continue
-            path.append(e)
-            u = v
     side = np.array(level) >= 0
     # An edge's flow is the capacity its reverse edge has gained.
     flows = np.zeros((n, T))
-    flows[rows, cols] = cap[2 * n + 1 : 2 * (n + rows.size) : 2]
+    flows[rows, cols] = cap[2 * n + 1 : 2 * (n + m) : 2]
     return flow, side[1 : n + 1], side[n + 1 : sink], flows
 
 
@@ -343,6 +364,8 @@ def project_allocation(aggregate_target, scenario: Scenario) -> ProjectionResult
     target = np.asarray(aggregate_target, dtype=float)
     if target.shape != (scenario.horizon,):
         raise SolverError(f"target length {target.shape} does not match horizon {scenario.horizon}")
+    if not np.isfinite(target).all():
+        raise SolverError("target must be finite")
     cap_room = np.maximum(scenario.load_cap - scenario.base_load, 0.0)
     if np.isfinite(scenario.load_cap):
         _check_cap_feasibility(ids, upper, demands, range(1, scenario.horizon + 1), scenario)

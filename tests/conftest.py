@@ -1,7 +1,13 @@
-"""Shared fixtures: small hand-built scenarios used across the suite."""
+"""Shared fixtures: small hand-built scenarios used across the suite.
+
+SciPy serves only as a reference here (the LP least peak).
+"""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from evchargelab.model import EVProfile, PriceModel, Scenario
 
@@ -48,6 +54,45 @@ def random_feasible_scenario(rng, n_max=5, t_max=12, with_cap=False):
         # Leave generous headroom so demand equalities stay satisfiable.
         load_cap = float(base.max() + sum(ev.b_max for ev in evs) * 0.9 + 1.0)
     return make_scenario(evs, horizon, base, load_cap=load_cap)
+
+
+def random_binding_cap_scenario(rng, n_max=5, t_max=12):
+    """A random small scenario whose load cap sits 1e-3 kWh above its least achievable peak.
+
+    Every EV stays at least two slots and the base load varies by at most
+    1 kWh, so the peak is EV load that can move, and the cap holds it back.
+    The cap of `random_feasible_scenario(with_cap=True)` never does.
+    """
+    horizon = int(rng.integers(3, t_max + 1))
+    base = rng.uniform(0.0, 1.0, size=horizon)
+    evs = []
+    for i in range(int(rng.integers(1, n_max + 1))):
+        t_arr = int(rng.integers(1, horizon))
+        t_dep = int(rng.integers(t_arr + 1, horizon + 1))
+        b_max = float(rng.uniform(1.0, 4.0))
+        demand = float(rng.uniform(0.0, 0.9 * b_max * (t_dep - t_arr + 1)))
+        evs.append(make_ev(i, t_arr, t_dep, demand, b_max, capacity=40.0, soc=0.0))
+    scn = make_scenario(evs, horizon, base)
+    return replace(scn, load_cap=lp_min_peak(scn) + 1e-3)
+
+
+def lp_min_peak(scn):
+    """Least achievable peak of base plus EV load (LP reference)."""
+    mask = scn.mask
+    rows, cols = np.nonzero(mask)
+    m = rows.size
+    a_eq = np.zeros((scn.n_evs, m + 1))
+    a_eq[rows, np.arange(m)] = 1.0
+    a_ub = np.zeros((scn.horizon, m + 1))
+    a_ub[cols, np.arange(m)] = 1.0
+    a_ub[:, -1] = -1.0
+    bounds = [(0.0, scn.b_max[i]) for i in rows] + [(None, None)]
+    cost = np.zeros(m + 1)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=-scn.base_load, A_eq=a_eq, b_eq=scn.demand,
+                  bounds=bounds, method="highs")
+    assert res.status == 0
+    return float(res.fun)
 
 
 @pytest.fixture

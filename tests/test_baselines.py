@@ -1,5 +1,6 @@
 """Eager charging, rolling online control, and Q-learning baseline tests."""
 
+import hashlib
 from dataclasses import replace
 from functools import lru_cache
 
@@ -87,6 +88,19 @@ class TestOaSchedule:
     def test_fig1_fleet_feasible(self):
         scn = make_scenario(five_ev_fleet(), horizon=10, base_load=[1.0] * 10)
         assert validate_schedule(oa_schedule(scn), scn, tol=1e-5).passed
+
+    @pytest.mark.parametrize("base, digest", ids=["flat", "synthetic"], argvalues=[
+        ("flat", "cabbc8a3631c0e934b1930b59d0a87f4ee4782e1ddacab425d543fdbe8acfd8a"),
+        ("synthetic", "d39d908f1e64751b4c990bc531af31af3729e16da4b95893352f68fdbe6c2556"),
+    ])
+    def test_schedules_bit_exact_on_benchmark_fleets(self, base, digest):
+        # SHA-256 of OA's schedules on benchmark fleets 1-20, as recorded when every
+        # max-flow ran Dinic's first phase through the level-graph walk: the greedy fill
+        # pushes the same amounts in the same order, so every re-solve keeps its bits.
+        sha = hashlib.sha256()
+        for scn in benchmark_fleets(base):
+            sha.update(oa_schedule(scn).amounts.tobytes())
+        assert sha.hexdigest() == digest
 
 
 @lru_cache(maxsize=None)

@@ -7,19 +7,23 @@ oracles here; the library itself is NumPy-only.
 import hashlib
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
-from scipy.optimize import linprog, minimize
+from scipy.optimize import minimize
 
 from evchargelab.baselines import ec_schedule
-from evchargelab.harness import benchmark_spec, build_scenario
+from evchargelab.harness import benchmark_spec, benchmark_train_config, build_scenario
 from evchargelab.model import ChargingSchedule, horizon_cost, validate_schedule
 from evchargelab.projections import project_rows_capped_simplex
+from evchargelab.rl import calc_schedule, load_policy
+from evchargelab.rl.nets import policy_forward
 from evchargelab.scenario import synthetic_base_load
 from evchargelab.solvers import (
     InfeasibleScenarioError,
+    SolverError,
     _max_flow,
     kkt_residual,
     project_allocation,
@@ -27,7 +31,7 @@ from evchargelab.solvers import (
     solve_rolling_step,
 )
 
-from conftest import make_ev, make_scenario, random_feasible_scenario
+from conftest import lp_min_peak, make_ev, make_scenario, random_binding_cap_scenario, random_feasible_scenario
 from test_scenario import five_ev_fleet
 
 
@@ -169,6 +173,18 @@ class TestSolveOffline:
             sha.update(solve_offline(scn).schedule.amounts.tobytes())
         assert sha.hexdigest() == digest
 
+    @pytest.mark.parametrize("factor, digest", ids=["1.02", "1.001"], argvalues=[
+        (1.02, "ebd9d2aaf525abb509766c75e1f5e1f216cf6685f4164aaf35f3b0765b1d0344"),
+        (1.001, "ebd9d2aaf525abb509766c75e1f5e1f216cf6685f4164aaf35f3b0765b1d0344"),
+    ])
+    def test_capped_schedule_bit_exact_on_fleet_104(self, factor, digest):
+        # SHA-256 of the oracle's schedule on fleet 104 under a cap just above its least
+        # peak, recorded when the first max-flow phase ran as the level-graph walk. Both
+        # are the uncapped schedule's: a cap the demands fit never binds the least bill.
+        scn, peak = fleet_104()
+        amounts = solve_offline(replace(scn, load_cap=factor * peak)).schedule.amounts
+        assert hashlib.sha256(amounts.tobytes()).hexdigest() == digest
+
     def test_load_cap_respected(self):
         evs = [make_ev(i, 1, 4, demand=6.0, b_max=3.0) for i in range(2)]
         scn = make_scenario(evs, horizon=4, base_load=[1.0] * 4, load_cap=5.0)
@@ -207,25 +223,6 @@ def fleet_104():
     return scn, lp_min_peak(scn)
 
 
-def lp_min_peak(scn):
-    """Least achievable peak of base plus EV load (LP reference)."""
-    mask = scn.mask
-    rows, cols = np.nonzero(mask)
-    m = rows.size
-    a_eq = np.zeros((scn.n_evs, m + 1))
-    a_eq[rows, np.arange(m)] = 1.0
-    a_ub = np.zeros((scn.horizon, m + 1))
-    a_ub[cols, np.arange(m)] = 1.0
-    a_ub[:, -1] = -1.0
-    bounds = [(0.0, scn.b_max[i]) for i in rows] + [(None, None)]
-    cost = np.zeros(m + 1)
-    cost[-1] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=-scn.base_load, A_eq=a_eq, b_eq=scn.demand,
-                  bounds=bounds, method="highs")
-    assert res.status == 0
-    return float(res.fun)
-
-
 def random_capped_instance(rng):
     """Windows, rates, demands and binding caps that some schedule meets.
 
@@ -256,6 +253,114 @@ def networkx_max_flow(mask, b_max, demands, caps):
     return nx.maximum_flow_value(graph, "source", "sink")
 
 
+def reference_max_flow(supply, upper, room):
+    """`_max_flow` as it was before its first phase became a greedy fill: Dinic's method with
+    every phase, the first too, walking the level graph over per-node lists of (edge, head) pairs."""
+    n, T = upper.shape
+    sink = n + T + 1
+    rows, cols = np.nonzero(upper > 0.0)
+    # Edges source -> EV, EV -> slot (row-major), slot -> sink; edge 2k is
+    # the k-th of them and 2k + 1 its reverse, with no capacity.
+    tails = np.concatenate([np.zeros(n, dtype=np.intp), 1 + rows, 1 + n + np.arange(T)])
+    heads = np.concatenate([1 + np.arange(n), 1 + n + cols, np.full(T, sink)])
+    ends = np.column_stack([tails, heads]).reshape(-1)
+    heads = np.column_stack([heads, tails]).reshape(-1)
+    head = heads.tolist()
+    cap = np.zeros(ends.size)
+    cap[::2] = np.concatenate([supply, upper[rows, cols], room])
+    cap = cap.tolist()
+    # Each node's (edge, head) pairs in edge order: one stable sort of the edge tails.
+    order = np.argsort(ends, kind="stable")
+    pairs = list(zip(order.tolist(), heads[order].tolist()))
+    bounds = np.concatenate([[0], np.bincount(ends, minlength=sink + 1).cumsum()]).tolist()
+    adj = [pairs[bounds[u] : bounds[u + 1]] for u in range(sink + 1)]
+    eps = 1e-12 * max(1.0, float(np.sum(supply)))
+    flow = 0.0
+    while True:
+        level = [-1] * (sink + 1)
+        level[0] = 0
+        queue = [0]
+        # Breadth-first levels, up to the sink's: a node past it is a dead end.
+        for u in queue:
+            below = level[u] + 1
+            for e, v in adj[u]:
+                if cap[e] > eps and level[v] < 0:
+                    level[v] = below
+                    queue.append(v)
+            if level[sink] >= 0:
+                break
+        if level[sink] < 0:
+            break
+        # Blocking flow: advance along level edges, retreat from dead ends.
+        # After a push the walk resumes at the tail of the first edge the push
+        # left without capacity: a restart from the source would walk the same
+        # edges up to there.
+        nxt = [0] * (sink + 1)
+        path, u = [], 0
+        while True:
+            if u == sink:
+                pushed = min([cap[e] for e in path])
+                for e in path:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                flow += pushed
+                j = 0
+                while cap[path[j]] > eps:
+                    j += 1
+                u = head[path[j] ^ 1]
+                del path[j:]
+                continue
+            edges, i, below = adj[u], nxt[u], level[u] + 1
+            k = len(edges)
+            while i < k:
+                e, v = edges[i]
+                if cap[e] > eps and level[v] == below:
+                    break
+                i += 1
+            nxt[u] = i
+            if i == k:
+                if not path:
+                    break
+                u = head[path.pop() ^ 1]
+                nxt[u] += 1
+                continue
+            path.append(e)
+            u = v
+    side = np.array(level) >= 0
+    # An edge's flow is the capacity its reverse edge has gained.
+    flows = np.zeros((n, T))
+    flows[rows, cols] = cap[2 * n + 1 : 2 * (n + rows.size) : 2]
+    return flow, side[1 : n + 1], side[n + 1 : sink], flows
+
+
+def max_flow_instance(rng):
+    """Supplies, rates and rooms of a random EV -> slot graph (one EV or one slot included).
+
+    It has zero supplies, EVs without a window and slots without room, and
+    capacities at, just above and just below the flow threshold eps. In
+    about a third of the draws the supplies sum below 1 kWh, so eps is
+    1e-12 exactly and supplies sit at it too; in half of them the amounts
+    are whole quarters, so pushes tie and leave residuals of exactly 0.
+    """
+    n, T = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+    small = rng.random() < 0.35
+    supply = rng.uniform(0.0, 0.15 if small else 6.0, n)
+    upper = np.where(rng.random((n, T)) < 0.6, rng.uniform(0.0, 3.0, (n, T)), 0.0)
+    room = rng.uniform(0.0, 0.2 if small else 5.0, T)
+    if rng.random() < 0.5:
+        supply, upper, room = (np.round(4.0 * a) / 4.0 for a in (supply, upper, room))
+    supply[rng.random(n) < 0.15] = 0.0
+    upper[rng.random(n) < 0.15] = 0.0
+    room[rng.random(T) < 0.15] = 0.0
+    eps = 1e-12 * max(1.0, float(np.sum(supply)))
+    near = np.array([eps, np.nextafter(eps, 0.0), np.nextafter(eps, 1.0)])
+    for a in (upper, room) + ((supply,) if small else ()):
+        flat = a.reshape(-1)
+        hit = rng.random(flat.size) < 0.15
+        flat[hit] = rng.choice(near, hit.sum())
+    return supply, upper, room
+
+
 def assert_max_flow_matches_networkx(mask, b_max, demands, caps):
     upper = np.where(mask, b_max[:, None], 0.0)
     flow, evs, slots, X = _max_flow(demands, upper, caps)
@@ -277,6 +382,29 @@ class TestCapFeasibility:
             mask, b_max, demands, caps = random_capped_instance(rng)
             caps = caps * rng.uniform(0.5, 1.2, caps.size)  # some unreachable
             assert_max_flow_matches_networkx(mask, b_max, demands, caps)
+
+    def test_flow_matches_networkx_at_binding_caps(self):
+        filled = 0
+        for k in range(40):
+            scn = random_binding_cap_scenario(np.random.default_rng(900 + k))
+            caps = scn.load_cap - scn.base_load
+            assert_max_flow_matches_networkx(scn.mask, scn.b_max, scn.demand, caps)
+            _, _, _, X = _max_flow(scn.demand, np.where(scn.mask, scn.b_max[:, None], 0.0), caps)
+            filled += np.any(X.sum(axis=0) >= caps - 1e-9)
+        # The cap holds the flow back: some slot is filled to it in most draws.
+        assert filled > 20
+
+    def test_matches_the_level_graph_walk_bit_for_bit(self):
+        # The greedy first phase makes the walk's pushes in the walk's order, so the flow
+        # value, the cut and every byte of the flow matrix are the reference's.
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            args = max_flow_instance(rng)
+            flow, evs, slots, X = _max_flow(*args)
+            ref_flow, ref_evs, ref_slots, ref_X = reference_max_flow(*args)
+            assert np.float64(flow).tobytes() == np.float64(ref_flow).tobytes()
+            assert np.array_equal(evs, ref_evs) and np.array_equal(slots, ref_slots)
+            assert X.tobytes() == ref_X.tobytes()
 
     @pytest.mark.parametrize("case", ["zero supply", "EV without a window", "slot without room", "one EV, one slot"])
     def test_flow_matches_networkx_at_the_edges(self, case):
@@ -403,6 +531,14 @@ class TestProjectAllocation:
         res = project_allocation(np.array([4.0]), scn)
         assert res.schedule.amounts[:, 0] == pytest.approx([2.0, 2.0], abs=1e-6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_target_refused(self, bad):
+        # A NaN target used to come back with a NaN distance, and an infinite one with an
+        # infinite clip, as a wrong shape never did.
+        scn = make_scenario([make_ev(0, 1, 2, demand=4.0, b_max=4.0)], horizon=2)
+        with pytest.raises(SolverError, match="finite"):
+            project_allocation(np.array([bad, 1.0]), scn)
+
     def test_target_clipped_to_box(self):
         scn = make_scenario([make_ev(0, 1, 2, demand=4.0, b_max=4.0)], horizon=2)
         res = project_allocation(np.array([5.0, 0.0]), scn)
@@ -453,18 +589,43 @@ class TestProjectAllocation:
             reference = qp_slot_totals(scn, res.clipped_target)
             assert res.distance == pytest.approx(np.sum((reference - res.clipped_target) ** 2), abs=1e-7)
 
-    @pytest.mark.parametrize("cap", ["uncapped", "with_cap", "least peak + 0.1"])
+    @pytest.mark.parametrize("cap", ["uncapped", "with_cap", "least peak + 0.1", "binding"])
     def test_split_matches_slot_total_qp(self, cap):
         rng = np.random.default_rng(41)
+        reached = 0
         for k in range(10):
             scn = random_feasible_scenario(np.random.default_rng(500 + k), with_cap=cap == "with_cap")
             if cap == "least peak + 0.1":
                 scn = replace(scn, load_cap=lp_min_peak(scn) + 0.1)
+            if cap == "binding":
+                scn = random_binding_cap_scenario(np.random.default_rng(500 + k))
             target = rng.uniform(0.0, 2.0, scn.horizon) * scn.demand.sum() / scn.horizon
             res = project_allocation(target, scn)
             assert validate_schedule(res.schedule, scn).passed
             reference = qp_slot_totals(scn, res.clipped_target)
             assert np.max(np.abs(res.schedule.slot_totals() - reference)) <= 1e-7
+            reached += np.max(res.schedule.slot_totals() + scn.base_load) >= scn.load_cap - 1e-9
+        if cap == "binding":
+            # The cap holds the split back: some slot sits at it in most draws.
+            assert reached > 5
+
+    @pytest.mark.parametrize("factor, digest", ids=["1.02", "1.001"], argvalues=[
+        (1.02, "f0979135f50cd533a097de8c5eecf40335ac2953defa4687f3f029290a0d60a3"),
+        (1.001, "ca42fd3b25cfccc11e3bd8e8a34fbebccaf1bfbea90368db0ef86b053567c999"),
+    ])
+    def test_stored_calc_policy_bit_exact_on_capped_fleet_104(self, factor, digest):
+        # SHA-256 of the stored CALC policy's schedule on fleet 104 under a cap just above
+        # its least peak, recorded when the first max-flow phase ran as the level-graph walk.
+        # Like the stored-policy digests of test_rl_train.py, it holds only under the BLAS
+        # that recorded it, which the digest of one fixed forward pass identifies.
+        policy = load_policy(Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "calc_policy.txt")
+        _, mu, _ = policy_forward(policy, np.linspace(0.0, 1.0, policy.w_hidden.shape[0]))
+        if hashlib.sha256(mu.tobytes()).hexdigest() != "8f159831312351063a8e060d6435f119a0124b7462ec5714f1024492096370c2":
+            pytest.skip("this BLAS rounds the policy's forward pass differently from the one that recorded the digest")
+        scn, peak = fleet_104()
+        schedule = calc_schedule(policy, replace(scn, load_cap=factor * peak),
+                                 reward_mode=benchmark_train_config("CALC").reward_mode)
+        assert hashlib.sha256(schedule.amounts.tobytes()).hexdigest() == digest
 
     def test_low_block_takes_cap_room_net_of_full_rate_load(self):
         # EVs 0 and 2 must charge 5 kWh in slot 2, which leaves EV 1 only
