@@ -4,11 +4,11 @@ The Q-learning baseline (AEM) acts on an aggregate per-EV charge level drawn
 from an evenly spaced grid of `levels` values in [0, b_max]; the aggregate
 budget is allocated to vehicles earliest-deadline-first. A laxity clamp
 forces the minimum charge an EV needs to stay on schedule, so greedy rollouts
-always meet demand (within one action quantum for quantized amounts).
+always meet demand: in its last slot an EV is forced its whole residual.
 
 Its state is the fleet's delivered fraction of demand and the base load over
 the training scenario's peak base load (the scale is stored with the table),
-in `soc_bins` x `load_bins` cells. The update rule:
+in `AEM_SOC_BINS` x `AEM_LOAD_BINS` cells. The update rule:
 
 - Reward: minus the extra bill a slot's charging causes over finishing the
   parked EVs at their flat rates (`model.flat_completion_change`), so the
@@ -56,6 +56,8 @@ _Q_CLAMP = 1e9
 # Half-width (per-EV kWh) of the band of levels one Q-learning update moves;
 # below the 0.1 kWh spacing of the shipped 33-level grid.
 _NEIGHBOUR_KWH = 0.05
+AEM_SOC_BINS, AEM_LOAD_BINS = 20, 10  # state cells of a table that `aem_train` builds
+EPSILON_START, EPSILON_END = 1.0, 0.05  # exploration rate at the first episode and from half-way on
 
 
 def ec_schedule(scenario: Scenario) -> ChargingSchedule:
@@ -63,12 +65,12 @@ def ec_schedule(scenario: Scenario) -> ChargingSchedule:
     check_evs_can_finish(scenario)
     # Slot-by-slot subtraction, which rounds differently from demand - k * b_max.
     B = np.zeros((scenario.n_evs, scenario.horizon))
-    for row, ev in enumerate(scenario.evs):
-        residual = ev.demand_kwh
-        for t in range(ev.t_arr, ev.t_dep + 1):
+    columns = (scenario.demand, scenario.b_max, scenario.t_arr, scenario.t_dep)
+    for row, (residual, b_max, t_arr, t_dep) in enumerate(zip(*(column.tolist() for column in columns))):
+        for t in range(t_arr, t_dep + 1):
             if residual <= 0:
                 break
-            amount = min(ev.b_max, residual)
+            amount = min(b_max, residual)
             B[row, t - 1] = amount
             residual -= amount
     return ChargingSchedule(B)
@@ -96,7 +98,7 @@ def oa_schedule(scenario: Scenario) -> ChargingSchedule:
             continue
         if plan is None or t not in plan.window or np.any(scenario.t_arr == t):
             plan_rows = np.flatnonzero(active)
-            plan = solve_rolling_step(scenario, t, {scenario.evs[r].id: residuals[r] for r in plan_rows})
+            plan = solve_rolling_step(scenario, t, dict(zip(scenario.ids[plan_rows].tolist(), residuals[plan_rows])))
         keep = active[plan_rows]
         rows = plan_rows[keep]
         committed = np.minimum(plan.amounts[keep, t - plan.window.start], residuals[rows])
@@ -208,8 +210,6 @@ class QLearnConfig:
     learning_rate: float = 0.1
     discount: float = 0.5
     episodes: int = 400
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -222,7 +222,7 @@ class QLearnConfig:
         # linear decay over the first half of the episodes
         half = max(self.episodes // 2, 1)
         frac = min(episode / half, 1.0)
-        return self.epsilon_start + frac * (self.epsilon_end - self.epsilon_start)
+        return EPSILON_START + frac * (EPSILON_END - EPSILON_START)
 
 
 def _allocate_aggregate(live, corridor, order, budget) -> np.ndarray:
@@ -295,7 +295,7 @@ def _aem_update(table: QTable, transitions, cfg: QLearnConfig) -> None:
         table.visit_counts[state, band] = counts
 
 
-def aem_train(scenario_sampler, cfg: QLearnConfig, levels: int, soc_bins: int = 20, load_bins: int = 10) -> QTable:
+def aem_train(scenario_sampler, cfg: QLearnConfig, levels: int) -> QTable:
     """One-step Q-learning over episodes drawn from the sampler (rule in the module docstring).
 
     Each update moves every level within 0.05 kWh of the taken level toward
@@ -305,8 +305,8 @@ def aem_train(scenario_sampler, cfg: QLearnConfig, levels: int, soc_bins: int = 
     probe = scenario_sampler(0)
     b_max = probe.b_max.max() if probe.n_evs else 1.0
     table = QTable(
-        soc_bins=soc_bins,
-        load_bins=load_bins,
+        soc_bins=AEM_SOC_BINS,
+        load_bins=AEM_LOAD_BINS,
         levels=levels,
         b_max=float(b_max),
         load_scale=max(float(probe.base_load.max()), 1e-9),

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .model import DEFAULT_TOL, PriceModel, Scenario, horizon_cost, validate_schedule
+from .model import PriceModel, Scenario, horizon_cost, validate_schedule
 from .rl import (
     ADVANTAGE_RETURN,
     ADVANTAGE_TRACE,
@@ -503,13 +503,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 schedule, curve, train_ms = _produce_schedule(cfg, algorithm, scenario, trained)
                 wall_ms = (time.perf_counter() - t0) * 1e3
                 report = validate_schedule(schedule, scenario)
-                # quantized AEM amounts may miss demand by up to one action quantum
-                quantum_tol = (scenario.b_max.max() / (cfg.aem.levels - 1) if algorithm == "AEM" and scenario.n_evs
-                               else DEFAULT_TOL)
+                if not report.passed:
+                    raise RuntimeError(f"schedule failed validation: {list(report.violations[:3])}")
                 gap = report.max_demand_gap()
-                bad = [v for v in report.violations if v.kind != "demand" or v.magnitude > quantum_tol]
-                if bad:
-                    raise RuntimeError(f"schedule failed validation: {bad[:3]}")
                 loads = schedule.slot_totals() + scenario.base_load
                 metrics.append(RunMetrics(algorithm, seed, horizon_cost(schedule, scenario), float(loads.max()), loads,
                                           wall_ms, gap, truncations, train_ms))

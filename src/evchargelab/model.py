@@ -40,6 +40,10 @@ class PriceModel:
         if not (0 <= self.k0 < math.inf and 0 <= self.k1 < math.inf):
             raise ModelError(f"price coefficients must be finite and non-negative, got k0={self.k0}, k1={self.k1}")
 
+    def unit_price(self, load):
+        """The unit price k0 + 2*k1*load at a total load (or an array of them)."""
+        return self.k0 + 2.0 * self.k1 * load
+
 
 @dataclass(frozen=True)
 class EVProfile:
@@ -123,10 +127,10 @@ class EVArrays(Sequence):
 class Scenario:
     """A charging-station instance: horizon, base load, fleet, price, cap.
 
-    The fleet arrays (`t_arr`, `t_dep`, `demand`, `b_max`, `capacity`,
-    `soc_init`, and the (n_evs, horizon) window `mask`, True where the EV is
-    parked) are built once here and are read-only. `evs` is a sequence of
-    profiles, or an `EVArrays`, whose arrays are used as they are.
+    Each EV is a row of the read-only fleet arrays built once here (`ids`,
+    `t_arr`, `t_dep`, `demand`, `b_max`, `capacity`, `soc_init`, and the
+    (n_evs, horizon) window `mask`, True where the EV is parked). `evs` is a
+    sequence of profiles, or an `EVArrays`, whose arrays are used as they are.
     """
 
     horizon: int
@@ -134,7 +138,6 @@ class Scenario:
     evs: Sequence[EVProfile]
     price: PriceModel = field(default_factory=PriceModel)
     load_cap: float = float("inf")  # kWh per slot, total load bound
-    slot_hours: float = 1.0
 
     def __post_init__(self):
         base = np.asarray(self.base_load, dtype=float)
@@ -150,24 +153,25 @@ class Scenario:
         if base.size and self.load_cap < base.max():
             raise ModelError(f"load_cap {self.load_cap} below peak base load {base.max()}")
         if isinstance(self.evs, EVArrays):
-            fleet = dict(self.evs.columns)
+            fleet = dict(self.evs.columns, ids=np.arange(1, len(self.evs) + 1))
         else:
             object.__setattr__(self, "evs", tuple(self.evs))
-            ids = set()
-            for ev in self.evs:
-                if ev.id in ids:
-                    raise ModelError(f"duplicate EV id {ev.id}")
-                ids.add(ev.id)
 
             def column(attr, dtype=float):
                 return np.array([getattr(ev, attr) for ev in self.evs], dtype=dtype)
 
-            fleet = {"t_arr": column("t_arr", int), "t_dep": column("t_dep", int), "demand": column("demand_kwh"),
-                     "b_max": column("b_max"), "capacity": column("capacity_kwh"), "soc_init": column("soc_init")}
-        outside = (fleet["t_arr"] < 1) | (fleet["t_dep"] > self.horizon)
-        if outside.any():
-            ev = self.evs[int(outside.argmax())]
-            raise ModelError(f"EV {ev.id}: window [{ev.t_arr}, {ev.t_dep}] outside [1, {self.horizon}]")
+            fleet = {"ids": column("id", int), "t_arr": column("t_arr", int), "t_dep": column("t_dep", int),
+                     "demand": column("demand_kwh"), "b_max": column("b_max"), "capacity": column("capacity_kwh"),
+                     "soc_init": column("soc_init")}
+            ids = fleet["ids"]
+            _, first = np.unique(ids, return_index=True)  # each id's first row
+            if first.size < ids.size:
+                raise ModelError(f"duplicate EV id {ids[np.setdiff1d(np.arange(ids.size), first)[0]]}")
+        outside = np.flatnonzero((fleet["t_arr"] < 1) | (fleet["t_dep"] > self.horizon))
+        if outside.size:
+            i = outside[0]
+            raise ModelError(f"EV {fleet['ids'][i]}: window [{fleet['t_arr'][i]}, {fleet['t_dep'][i]}] "
+                             f"outside [1, {self.horizon}]")
         slots = np.arange(1, self.horizon + 1)
         fleet["mask"] = (fleet["t_arr"][:, None] <= slots) & (slots <= fleet["t_dep"][:, None])
         for name, array in fleet.items():
@@ -177,6 +181,11 @@ class Scenario:
     @property
     def n_evs(self) -> int:
         return self.t_arr.size
+
+    @property
+    def upper(self) -> np.ndarray:
+        """Per-slot rate bound: b_max where the EV is parked, 0 elsewhere, (n_evs, horizon)."""
+        return np.where(self.mask, self.b_max[:, None], 0.0)
 
 
 class ChargingSchedule:
@@ -341,7 +350,7 @@ def validate_schedule(schedule: ChargingSchedule, scenario: Scenario, tol: float
     bound = low | (scenario.mask & ~(b <= b_max + tol))
     magnitude = np.where(window, np.abs(b), np.where(low, -b, b - b_max))
     for row in np.flatnonzero(~(gaps <= tol) | (window | bound).any(axis=1)):
-        ev_id = scenario.evs[row].id
+        ev_id = int(scenario.ids[row])
         if not gaps[row] <= tol:
             violations.append(Violation("demand", ev_id, None, gaps[row]))
         for col in np.flatnonzero(window[row] | bound[row]):

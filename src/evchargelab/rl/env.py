@@ -166,9 +166,8 @@ class ChargingEnv(_Episodes):
         else:
             self.charged[rows] = 0.0
             self._last_ev_load[rows] = 0.0
-        price = self.price
         cap = np.where(np.isfinite(self.load_cap), self.load_cap, 2.0 * self.base_load.max(axis=-1))
-        self.price_scale = np.maximum(price.k0 + 2.0 * price.k1 * cap, 1e-9)
+        self.price_scale = np.maximum(self.price.unit_price(cap), 1e-9)
 
     def _observe(self) -> RlState:
         """State of slot t; also caches the slot's corridor, which `bounds` returns."""
@@ -182,7 +181,7 @@ class ChargingEnv(_Episodes):
         # Known information at decision time: this slot's base load plus the
         # EV load just realized in the previous slot.
         lb = self._at_slot(self.base_load, slot)
-        price = (self.price.k0 + 2.0 * self.price.k1 * (lb + self._last_ev_load)) / self.price_scale
+        price = self.price.unit_price(lb + self._last_ev_load) / self.price_scale
         return RlState(soc=np.where(parked, soc, 0.0), price=price)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:

@@ -90,8 +90,6 @@ class TrainConfig:
     grad_clip: float = 10.0  # max L2 norm of any per-step gradient contribution; inf: no clipping
     critic_warmup: int = 0  # global steps during which only the critic is updated
     advantage: str = ADVANTAGE_RETURN  # weighting of the pushed policy gradient
-    policy_hidden: int = POLICY_HIDDEN
-    critic_hidden: int = CRITIC_HIDDEN
 
     def __post_init__(self):
         if not (0 < self.beta_a < math.inf and 0 < self.beta_c < math.inf):
@@ -278,18 +276,18 @@ def _run_training(env_cls, scenario_sampler, cfg: TrainConfig) -> TrainResult:
         return [scenario_sampler(int(seed)) for seed in rng.integers(2**31, size=count)]
 
     env = env_cls(scenarios(n), cfg.reward_mode)
-    policy = init_policy(env.state_dim, env.action_dim, init_rng, hidden=cfg.policy_hidden)
-    critic = init_critic(env.state_dim + env.action_dim, init_rng, hidden=cfg.critic_hidden)
+    policy = init_policy(env.state_dim, env.action_dim, init_rng)
+    critic = init_critic(env.state_dim + env.action_dim, init_rng)
     store = ParameterStore(policy, critic, cfg)
     critics = _RowCritics(n, period, critic)
 
     # One window, per step: the rows' states, forward passes and draws (what their policy scores
     # are taken from), the factors of their critic gradients, and their TD terms.
     window_states = np.zeros((period, n, env.state_dim))
-    window_h = np.zeros((period, n, cfg.policy_hidden))
+    window_h = np.zeros((period, n, POLICY_HIDDEN))
     window_mu, window_draws = np.zeros((2, period, n, env.action_dim))
     window_x = np.zeros((period, n, env.state_dim + env.action_dim))
-    window_hc, window_dzc = np.zeros((2, period, n, cfg.critic_hidden))
+    window_hc, window_dzc = np.zeros((2, period, n, CRITIC_HIDDEN))
     rewards, q_cur, q_next, advantage, critic_scale = np.zeros((5, period, n))
     terminal = np.zeros((period, n), dtype=bool)
     d_policy, d_critic = policy.zeros_like((n,)), critic.zeros_like((n,))

@@ -85,8 +85,7 @@ def check_evs_can_finish(scenario: Scenario) -> None:
     Every schedule function runs it first, as the solvers do, so a fleet
     that no schedule can serve fails before any rollout.
     """
-    _check_per_ev_feasibility([ev.id for ev in scenario.evs], np.where(scenario.mask, scenario.b_max[:, None], 0.0),
-                              scenario.demand)
+    _check_per_ev_feasibility(scenario.ids, scenario.upper, scenario.demand)
 
 
 def _max_flow(supply, upper, room):
@@ -96,6 +95,9 @@ def _max_flow(supply, upper, room):
     the flow value, the source side of a minimum cut as boolean masks over
     EVs and slots, and the EV -> slot flows as an (n, T) matrix. The first
     phase is a greedy fill that pushes what Dinic's walk would (module docstring).
+    The fill skips the reverse edges into the source and out of the sink: no
+    search or walk reads them, since the search never relabels the source or
+    expands the sink, and the walk only steps up a level and leaves the sink at once.
     """
     n, T = upper.shape
     sink = n + T + 1
@@ -120,7 +122,7 @@ def _max_flow(supply, upper, room):
     # The first phase. EV i (node i + 1) lists the reverse of its source edge
     # 2i first, then its slot edges; slot node v's edge to the sink is 2(m + v - 1).
     for i in range(n):
-        left, back = cap[2 * i], cap[2 * i + 1]
+        left = cap[2 * i]
         for p in range(bounds[i + 1] + 1, bounds[i + 2]):
             if not left > eps:
                 break
@@ -128,13 +130,11 @@ def _max_flow(supply, upper, room):
             if cap[e] > eps and cap[r] > eps:
                 pushed = min(left, cap[e], cap[r])
                 left -= pushed
-                back += pushed
                 cap[e] -= pushed
                 cap[e + 1] += pushed
                 cap[r] -= pushed
-                cap[r + 1] += pushed
                 flow += pushed
-        cap[2 * i], cap[2 * i + 1] = left, back
+        cap[2 * i] = left
     while True:
         level = [-1] * (sink + 1)
         level[0] = 0
@@ -291,9 +291,7 @@ def solve_offline(scenario: Scenario) -> QpSolution:
     """
     if scenario.n_evs == 0:
         return QpSolution(ChargingSchedule(np.zeros((0, scenario.horizon))), 0.0, 0, 0.0)
-    ids = [ev.id for ev in scenario.evs]
-    upper = np.where(scenario.mask, scenario.b_max[:, None], 0.0)
-    B, flows = _least_bill(ids, upper, scenario.demand, range(1, scenario.horizon + 1), scenario)
+    B, flows = _least_bill(scenario.ids, scenario.upper, scenario.demand, range(1, scenario.horizon + 1), scenario)
     return QpSolution(ChargingSchedule(B), bill(B.sum(axis=0), scenario.base_load, scenario.price), flows,
                       _price_gap(B, scenario))
 
@@ -301,8 +299,8 @@ def solve_offline(scenario: Scenario) -> QpSolution:
 def _price_gap(B, scenario: Scenario) -> float:
     """Largest per-EV gap: the unit price of its dearest slot with charge less that of its cheapest
     window slot with room, clipped at 0."""
-    pm, mask = scenario.price, scenario.mask
-    price = pm.k0 + 2.0 * pm.k1 * (scenario.base_load + B.sum(axis=0))
+    mask = scenario.mask
+    price = scenario.price.unit_price(scenario.base_load + B.sum(axis=0))
     dearest = np.where(mask & (B > _ACTIVE_TOL), price, -np.inf).max(axis=1, initial=-np.inf)
     cheapest = np.where(mask & (B < scenario.b_max[:, None] - _ACTIVE_TOL), price, np.inf).min(axis=1, initial=np.inf)
     return float(np.max(dearest - cheapest, initial=0.0))
@@ -319,8 +317,7 @@ def kkt_residual(B, scenario: Scenario) -> float:
     reads inf. Refuses an unreachable cap.
     """
     if np.isfinite(scenario.load_cap):
-        _check_cap_feasibility([ev.id for ev in scenario.evs], np.where(scenario.mask, scenario.b_max[:, None], 0.0),
-                               scenario.demand, range(1, scenario.horizon + 1), scenario)
+        _check_cap_feasibility(scenario.ids, scenario.upper, scenario.demand, range(1, scenario.horizon + 1), scenario)
     if not validate_schedule(ChargingSchedule(B), scenario).passed:
         return float("inf")
     return _price_gap(B, scenario)
@@ -334,12 +331,12 @@ def solve_rolling_step(scenario: Scenario, t: int, residuals: dict[int, float]) 
     """
     if any(r < -DEFAULT_TOL for r in residuals.values()):
         raise SolverError("residual demands must be non-negative")
-    rows = [row for row, ev in enumerate(scenario.evs) if ev.id in residuals and scenario.mask[row, t - 1]]
-    if not rows:
+    rows = np.flatnonzero(np.isin(scenario.ids, list(residuals)) & scenario.mask[:, t - 1])
+    if not rows.size:
         raise SolverError(f"no EV parked at slot {t}")
-    ids = tuple(scenario.evs[row].id for row in rows)
+    ids = tuple(scenario.ids[rows].tolist())
     t_end = int(scenario.t_dep[rows].max())
-    upper = np.where(scenario.mask[rows, t - 1 : t_end], scenario.b_max[rows, None], 0.0)
+    upper = scenario.upper[rows, t - 1 : t_end]
     demands = np.maximum([residuals[i] for i in ids], 0.0)
     window = range(t, t_end + 1)
     amounts, _ = _least_bill(ids, upper, demands, window, scenario)
@@ -357,9 +354,7 @@ def project_allocation(aggregate_target, scenario: Scenario) -> ProjectionResult
     load cap, found exactly by the oracle's decomposition with c = -clipped
     and the cap room (`_decompose`).
     """
-    mask, b_max, demands = scenario.mask, scenario.b_max, scenario.demand
-    ids = [ev.id for ev in scenario.evs]
-    upper = np.where(mask, b_max[:, None], 0.0)
+    ids, upper, demands = scenario.ids, scenario.upper, scenario.demand
     _check_per_ev_feasibility(ids, upper, demands)
     target = np.asarray(aggregate_target, dtype=float)
     if target.shape != (scenario.horizon,):

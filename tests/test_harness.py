@@ -38,7 +38,7 @@ def small_spec(**kw):
 
 
 def fast_cfg(algorithms=("EC",), seeds=(1,), **kw):
-    train = TrainConfig(k_max=300, n_workers=1, policy_hidden=16, critic_hidden=8, discount=0.9)
+    train = TrainConfig(k_max=300, n_workers=1, discount=0.9)
     defaults = dict(
         scenario=small_spec(),
         algorithms=tuple(algorithms),

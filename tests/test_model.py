@@ -56,6 +56,10 @@ class TestUnitPrice:
     def test_zero_load(self):
         assert unit_price(0, 0, k0=0.2, k1=1.0) == pytest.approx(0.2, rel=1e-15)
 
+    def test_price_model_method(self):
+        load = np.array([0.0, 3.0, 41.5])
+        assert PriceModel(k0=0.1, k1=0.005).unit_price(load).tolist() == (0.1 + 2.0 * 0.005 * load).tolist()
+
     def test_negative_load_rejected(self):
         # A negative base load is refused; a negative charge is clipped to no load.
         with pytest.raises(ModelError):
@@ -226,6 +230,8 @@ class TestFleetArrays:
         assert scn.demand.tolist() == [1.5, 0.5] and scn.b_max.tolist() == [2.0, 4.0]
         assert scn.capacity.tolist() == [30.0, 36.0] and scn.soc_init.tolist() == [0.2, 0.0]
         assert scn.mask.tolist() == [[False, True, True, True, False], [True, False, False, False, False]]
+        assert scn.ids.tolist() == [3, 7]
+        assert scn.upper.tolist() == [[0.0, 2.0, 2.0, 2.0, 0.0], [4.0, 0.0, 0.0, 0.0, 0.0]]
 
     def test_empty_fleet(self):
         scn = make_scenario([], horizon=3)
@@ -233,7 +239,7 @@ class TestFleetArrays:
 
     def test_arrays_read_only(self):
         scn = make_scenario([make_ev(0, 1, 2, demand=1.0)], horizon=2)
-        for name in ("t_arr", "t_dep", "demand", "b_max", "capacity", "soc_init", "mask"):
+        for name in ("ids", "t_arr", "t_dep", "demand", "b_max", "capacity", "soc_init", "mask"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(scn, name)[0] = 0
 

@@ -183,8 +183,7 @@ class TestTrainConfig:
 
 
 def tiny_cfg(**kw):
-    defaults = dict(k_max=600, n_workers=1, seed=0, discount=0.9,
-                    policy_hidden=16, critic_hidden=8)
+    defaults = dict(k_max=600, n_workers=1, seed=0, discount=0.9)
     defaults.update(kw)
     return TrainConfig(**defaults)
 
@@ -236,7 +235,7 @@ class TestTraining:
         cfg = tiny_cfg(k_max=200, critic_warmup=10**9)
         result = train_sca(lambda seed: scn, cfg)
         init_rng = np.random.default_rng([cfg.seed, 0x1D])
-        untouched = fresh_policy(scn.n_evs + 1, scn.n_evs, init_rng, hidden=cfg.policy_hidden)
+        untouched = fresh_policy(scn.n_evs + 1, scn.n_evs, init_rng)
         for got, init in zip(result.policy.arrays(), untouched.arrays()):
             assert np.array_equal(got, init)
 

@@ -517,6 +517,26 @@ class TestRollingStep:
             solve_rolling_step(scn, 3, {1: 2.0})
 
 
+def test_profile_ids_that_are_not_consecutive_name_their_evs():
+    # Row i is not EV i + 1 here: every text and every id tuple must carry the profiles' ids.
+    evs = [make_ev(10, 1, 2, demand=3.6, b_max=2.0), make_ev(3, 3, 4, demand=0.5, b_max=2.0),
+           make_ev(42, 1, 4, demand=0.5, b_max=2.0)]
+    scn = make_scenario(evs, horizon=4)
+    assert scn.ids.tolist() == [10, 3, 42]
+    assert solve_rolling_step(scn, 1, {10: 3.6, 3: 0.5, 42: 0.5}).ev_ids == (10, 42)
+    assert solve_rolling_step(scn, 3, {3: 0.5, 42: 0.5}).ev_ids == (3, 42)
+    report = validate_schedule(ChargingSchedule(np.zeros((3, 4))), scn)
+    assert [str(v) for v in report.violations] == [
+        "demand(ev=10, magnitude=3.6)", "demand(ev=3, magnitude=0.5)", "demand(ev=42, magnitude=0.5)"]
+    with pytest.raises(InfeasibleScenarioError, match=r"^EV 42: demand 9\.0 exceeds deliverable 8\.0$"):
+        solve_offline(make_scenario(evs[:2] + [make_ev(42, 1, 4, demand=9.0, b_max=2.0)], horizon=4))
+    capped = replace(scn, load_cap=1.5)
+    for solve in (solve_offline, lambda sc: kkt_residual(np.zeros((3, 4)), sc),
+                  lambda sc: project_allocation(np.zeros(4), sc)):
+        with pytest.raises(InfeasibleScenarioError, match=r"EVs 10 need 3\.600 kWh.*slots 1, 2 "):
+            solve(capped)
+
+
 class TestProjectAllocation:
     def test_equalities_force_allocation(self):
         evs = [make_ev(0, 1, 1, demand=3.0, b_max=4.0), make_ev(1, 1, 1, demand=1.0, b_max=4.0)]
