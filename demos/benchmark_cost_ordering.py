@@ -1,23 +1,22 @@
 """Cost and peak-load comparison of all five algorithms on the shipped benchmark.
 
-Trains the two actor-critic policies and the tabular Q-learning baseline,
-then evaluates everything (plus the clairvoyant oracle) over five scenario
-draws. The full training budget takes ~10 minutes on one core; pass --quick
-for a 30-second smoke run (the learned policies will be mediocre).
+Runs the shipped benchmark experiment through the harness: it trains the two
+actor-critic policies and the tabular Q-learning baseline once each, then
+schedules all five algorithms over five scenario draws. The table adds the
+clairvoyant oracle's row. At the full training budget it takes about 15 s on
+a 2-core machine, where the trainings run side by side; pass --quick for a
+1-second smoke run (the learned policies will be mediocre).
 
     python3 demos/benchmark_cost_ordering.py [--quick]
 """
 
 import argparse
-import time
 from dataclasses import replace
 
 import numpy as np
 
-from evchargelab.baselines import QLearnConfig, aem_schedule, aem_train, ec_schedule, oa_schedule
-from evchargelab.harness import BENCHMARK_SEEDS, benchmark_spec, benchmark_train_config, build_scenario, make_sampler
+from evchargelab.harness import benchmark_experiment, build_scenario, run_experiment
 from evchargelab.model import horizon_cost
-from evchargelab.rl.train import calc_schedule, sca_schedule, train_calc_stage1, train_sca
 from evchargelab.solvers import solve_offline
 
 
@@ -26,47 +25,32 @@ def main():
     parser.add_argument("--quick", action="store_true", help="tiny training budget")
     args = parser.parse_args()
 
-    spec = benchmark_spec()
-    sampler = make_sampler(spec)
-    sca_cfg = benchmark_train_config("SCA")
-    calc_cfg = benchmark_train_config("CALC")
-    episodes = 300
+    cfg = benchmark_experiment()
     if args.quick:
-        sca_cfg = replace(sca_cfg, k_max=5000, critic_warmup=1000)
-        calc_cfg = replace(calc_cfg, k_max=5000, critic_warmup=1000)
-        episodes = 20
+        cfg = replace(cfg, sca=replace(cfg.sca, k_max=5000, critic_warmup=1000),
+                      calc=replace(cfg.calc, k_max=5000, critic_warmup=1000), aem=replace(cfg.aem, episodes=20))
 
-    print("Training the per-EV policy...")
-    t0 = time.time()
-    sca = train_sca(sampler, sca_cfg)
-    print(f"  {sca.global_steps} steps in {time.time() - t0:.0f}s")
-    print("Training the aggregate policy...")
-    t0 = time.time()
-    calc = train_calc_stage1(sampler, calc_cfg)
-    print(f"  {calc.global_steps} steps in {time.time() - t0:.0f}s")
-    print("Training the quantized Q-learning baseline...")
-    qtable = aem_train(sampler, QLearnConfig(episodes=episodes, seed=1), levels=33)
+    print("Training SCA, CALC and AEM, then scheduling every algorithm...")
+    result = run_experiment(cfg)
+    if not result.ok:
+        raise SystemExit(f"failed runs: {result.failures}")
+    for (alg, seed), (train_ms, curve) in result.training.policies.items():
+        steps = "" if curve is None else f", {curve.global_steps} steps"
+        print(f"  {alg} (training seed {seed}): {train_ms / 1e3:.1f} s{steps}")
 
-    names = ("EC", "OA", "AEM", "SCA", "CALC", "oracle")
-    costs = {n: [] for n in names}
-    peaks = {n: [] for n in names}
-    for seed in BENCHMARK_SEEDS:
-        sc, _ = build_scenario(spec, seed)
-        schedules = {
-            "EC": ec_schedule(sc),
-            "OA": oa_schedule(sc),
-            "AEM": aem_schedule(qtable, sc),
-            "SCA": sca_schedule(sca.policy, sc),
-            "CALC": calc_schedule(calc.policy, sc),
-            "oracle": solve_offline(sc).schedule,
-        }
-        for n, sch in schedules.items():
-            costs[n].append(horizon_cost(sch, sc))
-            peaks[n].append(sch.slot_totals().max() + sc.base_load.max())
+    costs, peaks = {}, {}
+    for m in result.metrics:
+        costs.setdefault(m.algorithm, []).append(m.total_cost)
+        peaks.setdefault(m.algorithm, []).append(m.peak_load_kwh)
+    for seed in cfg.seeds:
+        scenario, _ = build_scenario(cfg.scenario, seed)
+        oracle = solve_offline(scenario).schedule
+        costs.setdefault("oracle", []).append(horizon_cost(oracle, scenario))
+        peaks.setdefault("oracle", []).append(float((oracle.slot_totals() + scenario.base_load).max()))
 
-    print(f"\nMeans over seeds {BENCHMARK_SEEDS}:")
+    print(f"\nMeans over seeds {cfg.seeds}:")
     print(f"{'algorithm':<10} {'cost':>8} {'peak kWh':>9}")
-    for n in names:
+    for n in costs:
         print(f"{n:<10} {np.mean(costs[n]):8.1f} {np.mean(peaks[n]):9.1f}")
     print("\nExpected shape: eager charging worst, the rolling solver strong but")
     print("blind to tomorrow's arrival burst, the learned policies between the")

@@ -3,8 +3,8 @@
 Experiments are described by a sectioned key-value (INI) file with units in
 the key names; see `example_config()` for the full set. Results are written
 as machine-readable CSV: `metrics.csv` (one row per algorithm x seed),
-`loads.csv` (per-slot total loads), `convergence_<alg>_<seed>.csv`
-(training curves), and a plain-text `summary.txt` with cost ratios.
+`loads.csv` (per-slot total loads), one `convergence_<alg>_<training seed>.csv`
+per trained policy, and a plain-text `summary.txt` with cost ratios.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ class ExperimentConfig:
     sca: TrainConfig = field(default_factory=TrainConfig)
     calc: TrainConfig = field(default_factory=TrainConfig)
     aem: AemSettings = field(default_factory=AemSettings)
-    share_training: bool = True  # train once per algorithm, evaluate on every seed
 
     def __post_init__(self):
         if not self.algorithms:
@@ -91,6 +90,10 @@ class ExperimentConfig:
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {alg!r}, expected subset of {ALGORITHMS}")
+        for name, values in (("algorithm", self.algorithms), ("seed", self.seeds)):
+            repeated = [value for i, value in enumerate(values) if value in values[:i]]
+            if repeated:
+                raise ConfigError(f"duplicate {name} {repeated[0]!r} in {values}")
 
 
 @dataclass
@@ -103,7 +106,6 @@ class RunMetrics:
     wall_time_ms: float
     demand_violation_max: float
     truncation_count: int
-    train_time_ms: float = 0.0
 
     def csv_row(self) -> str:
         return (
@@ -121,7 +123,7 @@ class RunFailure:
 
 @dataclass
 class TrainingReport:
-    """The policies an experiment trained, and what training them took."""
+    """The policies an experiment trained, and what training them took: the only record of each training."""
 
     policies: dict = field(default_factory=dict)  # (algorithm, training seed) -> (train_ms, TrainResult or None)
     wall_ms: float = 0.0  # wall time of the training phase, concurrent or in-process
@@ -132,7 +134,6 @@ class TrainingReport:
 class ExperimentResult:
     metrics: list[RunMetrics]
     failures: list[RunFailure]
-    curves: dict[tuple[str, int], object]  # (algorithm, seed) -> TrainResult
     training: TrainingReport = field(default_factory=TrainingReport)
 
     @property
@@ -173,7 +174,6 @@ _RUN_KEYS = (
     ("algorithms", "algorithms", lambda text: tuple(a.strip().upper() for a in text.split(",") if a.strip())),
     ("seeds", "seeds", lambda text: tuple(int(s) for s in text.split(",") if s.strip())),
     ("output_dir", "output_dir", str),
-    ("share_training", "share_training", lambda text: text.strip().lower() in ("1", "true", "yes")),
 )
 _TRAIN_KEYS = (
     ("beta_a", "beta_a", float),
@@ -207,7 +207,7 @@ def example_config() -> str:
     for name, keys in _SECTIONS.items():
         lines += ["", f"[{name}]"]
         if name == "run":
-            lines += ["algorithms = EC,OA,SCA", "seeds = 1,2,3", "output_dir = results", "share_training = true"]
+            lines += ["algorithms = EC,OA,SCA", "seeds = 1,2,3", "output_dir = results"]
             continue
         for key, attr, _ in keys:
             value = getattr(defaults[name], attr)
@@ -412,14 +412,12 @@ def _train(cfg: ExperimentConfig, algorithm: str, seed: int):
     return artifact, result, (time.perf_counter() - t0) * 1e3
 
 
-def _training_key(cfg: ExperimentConfig, algorithm: str, seed: int) -> tuple[str, int]:
-    """The (algorithm, training seed) whose policy the run of `algorithm` on `seed` uses.
+def _training_key(cfg: ExperimentConfig, algorithm: str) -> tuple[str, int]:
+    """The (algorithm, training seed) of the one policy that every run of `algorithm` uses.
 
-    With shared training, SCA and CALC train with their own configured
-    seeds. AEM has no seed of its own (AemSettings) and trains with SCA's.
+    SCA and CALC train with their own configured seeds. AEM has no seed of
+    its own (AemSettings) and trains with SCA's.
     """
-    if not cfg.share_training:
-        return algorithm, seed
     return algorithm, cfg.calc.seed if algorithm == "CALC" else cfg.sca.seed
 
 
@@ -466,41 +464,39 @@ def _train_all(cfg: ExperimentConfig, keys) -> tuple[dict, TrainingReport]:
 
 
 def _produce_schedule(cfg: ExperimentConfig, algorithm: str, scenario: Scenario, trained):
-    """The run's schedule, training curve and train_ms; `trained` is its policy's training outcome."""
+    """The run's schedule; `trained` is its policy's training outcome."""
     if algorithm == "EC":
-        return baselines.ec_schedule(scenario), None, 0.0
+        return baselines.ec_schedule(scenario)
     if algorithm == "OA":
-        return baselines.oa_schedule(scenario), None, 0.0
+        return baselines.oa_schedule(scenario)
     if isinstance(trained, Exception):
         raise trained
-    artifact, curve, train_ms = trained
+    artifact = trained[0]
     if algorithm == "AEM":
-        return baselines.aem_schedule(artifact, scenario), curve, train_ms
+        return baselines.aem_schedule(artifact, scenario)
     if algorithm == "SCA":
-        return sca_schedule(artifact, scenario, cfg.sca.reward_mode), curve, train_ms
+        return sca_schedule(artifact, scenario, cfg.sca.reward_mode)
     if algorithm == "CALC":
-        return calc_schedule(artifact, scenario, reward_mode=cfg.calc.reward_mode), curve, train_ms
+        return calc_schedule(artifact, scenario, reward_mode=cfg.calc.reward_mode)
     raise ValueError(f"unknown algorithm {algorithm}")
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Train every policy the runs need, then run every (algorithm, seed) pair.
+    """Train each learner once, then run every (algorithm, seed) pair.
 
     A run's wall time covers its scheduling only. Failures are recorded, not raised.
     """
-    outcomes, training = _train_all(cfg, list(dict.fromkeys(
-        _training_key(cfg, algorithm, seed) for algorithm in _TRAINED if algorithm in cfg.algorithms
-        for seed in cfg.seeds)))
+    outcomes, training = _train_all(cfg, [_training_key(cfg, algorithm) for algorithm in _TRAINED
+                                          if algorithm in cfg.algorithms])
     metrics: list[RunMetrics] = []
     failures: list[RunFailure] = []
-    curves = {}
     for seed in cfg.seeds:
         scenario, truncations = build_scenario(cfg.scenario, seed)
         for algorithm in cfg.algorithms:
             try:
-                trained = outcomes.get(_training_key(cfg, algorithm, seed))
+                trained = outcomes.get(_training_key(cfg, algorithm))
                 t0 = time.perf_counter()
-                schedule, curve, train_ms = _produce_schedule(cfg, algorithm, scenario, trained)
+                schedule = _produce_schedule(cfg, algorithm, scenario, trained)
                 wall_ms = (time.perf_counter() - t0) * 1e3
                 report = validate_schedule(schedule, scenario)
                 if not report.passed:
@@ -508,12 +504,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 gap = report.max_demand_gap()
                 loads = schedule.slot_totals() + scenario.base_load
                 metrics.append(RunMetrics(algorithm, seed, horizon_cost(schedule, scenario), float(loads.max()), loads,
-                                          wall_ms, gap, truncations, train_ms))
-                if curve is not None:
-                    curves[(algorithm, seed)] = curve
+                                          wall_ms, gap, truncations))
             except Exception as exc:  # per-run isolation, remaining runs proceed
                 failures.append(RunFailure(algorithm, seed, f"{type(exc).__name__}: {exc}"))
-    return ExperimentResult(metrics=metrics, failures=failures, curves=curves, training=training)
+    return ExperimentResult(metrics=metrics, failures=failures, training=training)
 
 
 def _both_trainers(attr: str):
@@ -539,7 +533,7 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> list[tuple[object, E
 
 
 def emit_report(result: ExperimentResult, output_dir) -> list[Path]:
-    """Write metrics.csv, loads.csv, convergence curves, and summary.txt."""
+    """Write metrics.csv, loads.csv, one convergence curve per trained policy, and summary.txt."""
     if not result.metrics:
         raise ValueError("no metrics to report")
     out = Path(output_dir)
@@ -559,10 +553,10 @@ def emit_report(result: ExperimentResult, output_dir) -> list[Path]:
     loads_path.write_text("\n".join(lines) + "\n")
     written.append(loads_path)
 
-    for (alg, seed), curve in result.curves.items():
-        path = out / f"convergence_{alg}_{seed}.csv"
-        curve.write_log(path)
-        written.append(path)
+    for (alg, seed), (_, curve) in result.training.policies.items():
+        if curve is not None:
+            written.append(out / f"convergence_{alg}_{seed}.csv")
+            curve.write_log(written[-1])
 
     written.append(_write_summary(result, out))
     return written
@@ -585,10 +579,10 @@ def _write_summary(result: ExperimentResult, out: Path) -> Path:
         sca_cost = np.mean([m.total_cost for m in by_alg["SCA"]])
         lines += ["", "Cost ratio vs SCA: (alg - SCA) / SCA"]
         for alg, ms in by_alg.items():
-            if alg == "SCA":
-                continue
-            ratio = (np.mean([m.total_cost for m in ms]) - sca_cost) / sca_cost
-            lines.append(f"  {alg:<6} {ratio:+.2%}")
+            if alg != "SCA":
+                cost = np.mean([m.total_cost for m in ms])
+                ratio = f"{(cost - sca_cost) / sca_cost:+.2%}" if sca_cost else "undefined: SCA's mean cost is 0"
+                lines.append(f"  {alg:<6} {ratio}")
     training = result.training
     if training.policies:
         lines += ["", "Training (each policy's own wall time in its process, apart from scheduling time):"]
@@ -616,8 +610,9 @@ def emit_sweep_report(groups, parameter: str, output_dir) -> Path:
     for value, result in groups:
         for m in result.metrics:
             lines.append(f"{value},{m.algorithm},{m.seed},{m.total_cost!r},{m.peak_load_kwh!r},{m.wall_time_ms!r}")
-        for (alg, seed), curve in result.curves.items():
-            curve.write_log(out / f"convergence_{alg}_{seed}_{parameter}_{value}.csv")
+        for (alg, seed), (_, curve) in result.training.policies.items():
+            if curve is not None:
+                curve.write_log(out / f"convergence_{alg}_{seed}_{parameter}_{value}.csv")
     path = out / "sweep.csv"
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -98,6 +99,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(scenario=small_spec(), algorithms=("XX",), seeds=(1,), output_dir="o")
 
+    def test_duplicates_are_config_errors(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=r"duplicate seed 1 in \(1, 2, 1\)"):
+            ExperimentConfig(scenario=small_spec(), algorithms=("EC",), seeds=(1, 2, 1))
+        with pytest.raises(ConfigError, match="duplicate algorithm 'EC'"):
+            ExperimentConfig(scenario=small_spec(), algorithms=("EC", "OA", "EC"), seeds=(1,))
+        for key, text, word in (("seeds", "1,1", "seed 1"), ("algorithms", "EC,oa,OA", "algorithm 'OA'")):
+            path = write_config(tmp_path)
+            path.write_text(path.read_text().replace(f"{key} = ", f"{key} = {text} #"))
+            assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+            assert f"duplicate {word}" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
     def test_example_config_parses(self, tmp_path):
         path = tmp_path / "example.ini"
         path.write_text(example_config())
@@ -108,7 +121,7 @@ class TestConfig:
         assert cfg.scenario == ScenarioSpec()
         assert cfg.sca == cfg.calc == TrainConfig()
         assert cfg.aem == AemSettings()
-        assert cfg.output_dir == "results" and cfg.share_training
+        assert cfg.output_dir == "results"
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
         parser.read(path)
         for name, keys in harness._SECTIONS.items():
@@ -141,9 +154,10 @@ class TestConfig:
             ("section", "[flet]\nn_evs = 3\n", ("[flet]", "n_evs")),
             ("default", "[DEFAULT]\ndiscount = 0.5\n", ("[DEFAULT]", "discount")),
             ("duplicate", "[scenario]\nhorizon_slots = 12\n", ("scenario",)),
+            ("removed", "share_training = false\n", ("share_training", "[run]")),
         ):
             path = tmp_path / f"{name}.ini"
-            path.write_text(f"[run]\nalgorithms = EC\nseeds = 1\n[scenario]\nhorizon_slots = 24\n{text}")
+            path.write_text(f"[scenario]\nhorizon_slots = 24\n[run]\nalgorithms = EC\nseeds = 1\n{text}")
             with pytest.raises(ConfigError) as info:
                 load_config(path)
             assert all(word in str(info.value) for word in words), info.value
@@ -212,8 +226,10 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.ok, [f.error for f in result.failures]
         assert sorted(m.algorithm for m in result.metrics) == ["AEM", "CALC", "EC", "OA", "SCA"]
-        # learning algorithms carry convergence curves
-        assert ("SCA", 1) in result.curves and ("CALC", 1) in result.curves
+        # each learner has one training record, keyed by its training seed
+        assert set(result.training.policies) == {("SCA", 0), ("CALC", 0), ("AEM", 0)}
+        assert result.training.policies[("SCA", 0)][1].global_steps > 0
+        assert result.training.policies[("CALC", 0)][1].global_steps > 0
 
     def test_non_finite_schedule_is_a_failure(self, monkeypatch):
         def nan_schedule(policy, scenario, reward_mode):
@@ -264,9 +280,9 @@ class TestSharedTraining:
         result = run_experiment(fast_cfg(algorithms=("SCA", "CALC"), seeds=(1, 2, 3)))
         assert result.ok, result.failures
         assert len(result.metrics) == 6
+        assert [train_ms >= 200.0 for train_ms, _ in result.training.policies.values()] == [True, True]
         for m in result.metrics:
             assert m.wall_time_ms > 0.0
-            assert m.train_time_ms >= 200.0
             if m.seed == 1:
                 assert m.wall_time_ms < 200.0
 
@@ -278,9 +294,9 @@ class TestSharedTraining:
         assert result.ok, result.failures
         assert result.training.workers == 0
         assert result.training.wall_ms >= 400.0
+        assert [train_ms >= 200.0 for train_ms, _ in result.training.policies.values()] == [True, True]
         for m in result.metrics:
             assert 0.0 < m.wall_time_ms < 200.0
-            assert m.train_time_ms >= 200.0
 
     def test_failed_training_is_attempted_once_in_process(self, monkeypatch):
         calls = []
@@ -303,7 +319,7 @@ class TestSharedTraining:
         def calc_policy(seed):
             cfg = fast_cfg(algorithms=("CALC",))
             cfg = replace(cfg, calc=replace(cfg.calc, seed=seed))
-            key = harness._training_key(cfg, "CALC", 1)
+            key = harness._training_key(cfg, "CALC")
             return harness._train_all(cfg, [key])[0][key][0]
 
         one, seven = calc_policy(1), calc_policy(7)
@@ -334,7 +350,7 @@ class TestConcurrentTraining:
         assert not multiprocessing.active_children()
         for alg in ("SCA", "CALC"):
             want = expected[alg]
-            for got in (outcomes[(alg, 1)][1], result.curves[(alg, 2)]):
+            for got in (outcomes[(alg, 1)][1], result.training.policies[(alg, 1)][1]):
                 for a, b in zip(got.policy.arrays() + got.critic.arrays(), want.policy.arrays() + want.critic.arrays()):
                     assert a.tobytes() == b.tobytes()
                 assert got.critic.b_value == want.critic.b_value
@@ -423,15 +439,53 @@ class TestReports:
         emit_report(result, tmp_path / "out")
         out = tmp_path / "out"
         assert (out / "loads.csv").exists()
-        assert (out / "convergence_SCA_1.csv").exists()
+        assert (out / "convergence_SCA_0.csv").exists()  # named by the training seed, not the run's
         summary = (out / "summary.txt").read_text()
         assert "Cost ratio vs SCA" in summary
+
+    def test_one_convergence_file_per_trained_learner(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(cfg, algorithm, seed, _train=harness._train):
+            calls.append((algorithm, seed))
+            return _train(cfg, algorithm, seed)
+
+        monkeypatch.setattr(harness, "_train", counted)
+        cfg = fast_cfg(algorithms=("EC", "OA", "AEM", "SCA", "CALC"), seeds=(1, 2, 3))
+        cfg = replace(cfg, sca=replace(cfg.sca, seed=5), calc=replace(cfg.calc, seed=7))
+        with another_thread():  # in-process, so that the calls are counted here
+            result = run_experiment(cfg)
+        assert result.ok, result.failures
+        assert calls == [("SCA", 5), ("CALC", 7), ("AEM", 5)]
+        assert set(result.training.policies) == set(calls)
+        emit_report(result, tmp_path / "out")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "convergence_CALC_7.csv", "convergence_SCA_5.csv", "loads.csv", "metrics.csv", "summary.txt"]
+        for alg, seed in (("SCA", 5), ("CALC", 7)):
+            curve = result.training.policies[(alg, seed)][1]
+            lines = (tmp_path / "out" / f"convergence_{alg}_{seed}.csv").read_text().splitlines()
+            assert lines[0] == "episode,steps,moving_reward,wall_ms" and len(lines) == 1 + len(curve.episodes)
+        emit_sweep_report([("a", result), ("b", result)], "discount", tmp_path / "sweep")
+        assert sorted(p.name for p in (tmp_path / "sweep").glob("convergence_*")) == [
+            f"convergence_{alg}_{seed}_discount_{value}.csv" for alg, seed in (("CALC", 7), ("SCA", 5))
+            for value in "ab"]
+
+    def test_zero_price_summary_has_no_ratio(self, tmp_path):
+        spec = small_spec(n_evs=3, price=PriceModel(k0=0.0, k1=0.0))
+        result = run_experiment(fast_cfg(algorithms=("EC", "SCA"), scenario=spec))
+        assert result.ok, result.failures
+        assert [m.total_cost for m in result.metrics] == [0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emit_report(result, tmp_path)
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "  EC     undefined: SCA's mean cost is 0\n" in summary and "nan" not in summary
 
     def test_empty_metrics_rejected(self, tmp_path):
         from evchargelab.harness import ExperimentResult
 
         with pytest.raises(ValueError):
-            emit_report(ExperimentResult(metrics=[], failures=[], curves={}), tmp_path / "out")
+            emit_report(ExperimentResult(metrics=[], failures=[]), tmp_path / "out")
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
     def test_sweep_report(self, tmp_path):
