@@ -45,9 +45,9 @@ from .model import (
     DEFAULT_TOL,
     ChargingSchedule,
     Scenario,
+    allocate_aggregate,
     flat_completion_change,
     laxity_corridor,
-    masked_sum,
     slot_cost,
 )
 from .solvers import check_evs_can_finish, solve_rolling_step
@@ -127,7 +127,7 @@ class QTable:
 
     def __post_init__(self):
         if self.levels < 2:
-            raise ValueError("at least 2 action levels required")
+            raise ValueError(f"levels {self.levels}: at least 2 action levels required")
         if not self.load_scale > 0:
             raise ValueError(f"load_scale {self.load_scale} must be positive")
         n_states = self.soc_bins * self.load_bins
@@ -217,30 +217,14 @@ class QLearnConfig:
             raise ValueError(f"learning_rate {self.learning_rate} outside (0, 1]")
         if not 0.0 <= self.discount < 1.0:
             raise ValueError(f"discount {self.discount} outside [0, 1)")
+        if self.episodes < 1:
+            raise ValueError(f"episodes {self.episodes} must be at least 1")
 
     def epsilon(self, episode: int) -> float:
         # linear decay over the first half of the episodes
         half = max(self.episodes // 2, 1)
         frac = min(episode / half, 1.0)
         return EPSILON_START + frac * (EPSILON_END - EPSILON_START)
-
-
-def _allocate_aggregate(live, corridor, order, budget) -> np.ndarray:
-    """Split an aggregate budget over the parked (`live`) EVs in one slot.
-
-    `corridor` is the EVs' `laxity_corridor` in the slot and `order` the
-    index that lists them by departure (a stable argsort). Every parked EV
-    first gets its laxity minimum; what is left of the budget then fills
-    them up to their headroom, earliest departure first. With a leading row
-    axis, each row splits its own budget, and `order` indexes rows too.
-    """
-    lo, cap = corridor
-    forced = np.where(live, np.minimum(lo, cap), 0.0)
-    # The EVs that are not parked have no room, so they add 0 to the running sum.
-    room = np.where(live, cap - forced, 0.0)[order]
-    left = np.asarray(budget - masked_sum(forced, live))[..., None]
-    forced[order] += (left - (room.cumsum(axis=-1) - room)).clip(0.0, room)
-    return forced
 
 
 def _aem_rollout(table: QTable, scenario: Scenario, pick_action, transitions: list | None = None) -> ChargingSchedule:
@@ -265,14 +249,14 @@ def _aem_rollout(table: QTable, scenario: Scenario, pick_action, transitions: li
         action = pick_action(state)
         rows = np.flatnonzero(parked)
         corridor = laxity_corridor(residuals, scenario.b_max, scenario.t_dep - t)
-        amounts = _allocate_aggregate(parked, corridor, order, action * table.quantum * rows.size)
+        amounts = allocate_aggregate(parked, corridor, order, action * table.quantum * rows.size)
         B[:, t - 1] = amounts
         residuals -= amounts
         if transitions is None:
             continue
         reward = -slot_cost(amounts[amounts > 0], scenario.base_load[t - 1], scenario.price)
         reward -= flat_completion_change(residuals[rows] + amounts[rows], residuals[rows], scenario.t_dep[rows], t,
-                                         scenario)
+                                         scenario.base_load, scenario.price)
         next_state = table.state_index(1.0 - residuals.sum() / total_demand, load_fraction[min(t, T - 1)])
         transitions.append((state, action, reward, next_state, t == T))
     return ChargingSchedule(B)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import os
+import re
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -70,6 +71,10 @@ class AemSettings:
     episodes: int = 300
     learning_rate: float = 0.1
     discount: float = 0.5
+
+    def qlearn(self, seed: int) -> baselines.QLearnConfig:
+        """The Q-learning configuration of the training with `seed`."""
+        return baselines.QLearnConfig(self.learning_rate, self.discount, self.episodes, seed)
 
 
 @dataclass(frozen=True)
@@ -250,6 +255,10 @@ def load_config(path) -> ExperimentConfig:
         # The model's own checks refuse a base load or cap no scenario can have.
         Scenario(horizon=spec.horizon, base_load=_fleet_source(spec)[0], evs=(), price=spec.price,
                  load_cap=spec.load_cap)
+        aem = _section(parser, "aem", AemSettings(), _AEM_KEYS)
+        # The trainer's own checks refuse what no training can use; an empty table's checks the levels.
+        aem.qlearn(seed=0)
+        baselines.QTable(soc_bins=0, load_bins=0, levels=aem.levels, b_max=1.0)
         run = _fields(parser, "run", _RUN_KEYS)
         return ExperimentConfig(
             scenario=spec,
@@ -257,7 +266,7 @@ def load_config(path) -> ExperimentConfig:
             seeds=run.pop("seeds"),
             sca=_section(parser, "sca", TrainConfig(), _TRAIN_KEYS),
             calc=_section(parser, "calc", TrainConfig(), _TRAIN_KEYS),
-            aem=_section(parser, "aem", AemSettings(), _AEM_KEYS),
+            aem=aem,
             **run,
         )
     except (KeyError, ValueError) as exc:
@@ -399,13 +408,7 @@ def _train(cfg: ExperimentConfig, algorithm: str, seed: int):
         result = train_calc_stage1(sampler, replace(cfg.calc, seed=seed))
         artifact = result.policy
     elif algorithm == "AEM":
-        qcfg = baselines.QLearnConfig(
-            learning_rate=cfg.aem.learning_rate,
-            discount=cfg.aem.discount,
-            episodes=cfg.aem.episodes,
-            seed=seed,
-        )
-        artifact = baselines.aem_train(sampler, qcfg, cfg.aem.levels)
+        artifact = baselines.aem_train(sampler, cfg.aem.qlearn(seed), cfg.aem.levels)
         result = None
     else:
         raise ValueError(f"{algorithm} needs no training")
@@ -557,6 +560,9 @@ def emit_report(result: ExperimentResult, output_dir) -> list[Path]:
         if curve is not None:
             written.append(out / f"convergence_{alg}_{seed}.csv")
             curve.write_log(written[-1])
+    for path in out.glob("convergence_*.csv"):  # a curve an earlier run left here would pass for this run's
+        if re.fullmatch(rf"convergence_({'|'.join(ALGORITHMS)})_\d+\.csv", path.name) and path not in written:
+            path.unlink()
 
     written.append(_write_summary(result, out))
     return written

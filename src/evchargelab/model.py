@@ -249,6 +249,24 @@ def laxity_corridor(residuals, b_max, slots_after):
     return np.maximum(residuals - b_max * slots_after, 0.0), np.minimum(b_max, residuals)
 
 
+def allocate_aggregate(live, corridor, order, budget) -> np.ndarray:
+    """Split an aggregate budget over the parked (`live`) EVs in one slot.
+
+    `corridor` is the EVs' `laxity_corridor` in the slot and `order` the
+    index that lists them by departure (a stable argsort). Every parked EV
+    first gets its laxity minimum; what is left of the budget then fills
+    them up to their headroom, earliest departure first. With a leading row
+    axis, each row splits its own budget, and `order` indexes rows too.
+    """
+    lo, cap = corridor
+    forced = np.where(live, np.minimum(lo, cap), 0.0)
+    # The EVs that are not parked have no room, so they add 0 to the running sum.
+    room = np.where(live, cap - forced, 0.0)[order]
+    left = np.asarray(budget - masked_sum(forced, live))[..., None]
+    forced[order] += (left - (room.cumsum(axis=-1) - room)).clip(0.0, room)
+    return forced
+
+
 def slot_cost(b_vec, l_b: float, pm: PriceModel) -> float:
     """Electricity bill of one slot in which the EVs charge b_vec (`bill` of their sum)."""
     b = np.asarray(b_vec, dtype=float)
@@ -268,25 +286,24 @@ def horizon_cost(schedule: ChargingSchedule, scenario: Scenario) -> float:
 
 
 def flat_completion_change(before: np.ndarray, after: np.ndarray, t_dep: np.ndarray, t,
-                           scenario: Scenario):
+                           base_load: np.ndarray, pm: PriceModel):
     """Change across slot t in the bill of finishing the given EVs at flat rates.
 
     The EVs are those parked in slot t, with residual demands `before` and
     `after` the slot and departures `t_dep`. An EV's flat rate is its residual
     over its slots left, charged in every slot up to its departure. Slot t's
     own bill plus this change is the extra bill the slot's charging causes
-    over finishing at flat rates. `scenario` supplies `base_load` and `price`.
+    over finishing at flat rates, on `base_load` at the prices of `pm`.
 
-    With a leading row axis (a batched env passes itself as `scenario`),
-    `t` holds each row's slot, `scenario.base_load` each row's series, an
-    EV a row does not park in its slot has `before` and `after` 0, and the
-    result holds one change per row.
+    With a leading row axis (the rows of a batched env), `t` holds each
+    row's slot, `base_load` each row's series, an EV a row does not park in
+    its slot has `before` and `after` 0, and the result holds one change
+    per row.
     """
     # Part 0 holds the flat rates and loads of each slot before slot t's
     # charging, part 1 those after it; part 1 bills slots t+1..T only. Each
     # slot's bill is load * (k0 + k1 * load + 2 * k1 * base load).
-    base = scenario.base_load
-    horizon = base.shape[-1]
+    horizon = base_load.shape[-1]
     lead = before.shape[:-1]
     t = np.asarray(t)[..., None]
     slots_after = t_dep - t
@@ -297,8 +314,7 @@ def flat_completion_change(before: np.ndarray, after: np.ndarray, t_dep: np.ndar
     bins = t_dep[..., None, :] - 1 + horizon * np.arange(parts).reshape(lead + (2, 1))
     load = np.bincount(bins.ravel(), rates.ravel(), parts * horizon).reshape(lead + (2, horizon))
     load = load[..., ::-1].cumsum(axis=-1)[..., ::-1]
-    pm = scenario.price
-    cost = load * (pm.k0 + pm.k1 * load + 2.0 * pm.k1 * base[..., None, :])
+    cost = load * (pm.k0 + pm.k1 * load + 2.0 * pm.k1 * base_load[..., None, :])
     slots = np.arange(1, horizon + 1)
     return masked_sum(cost[..., 1, :], slots > t) - masked_sum(cost[..., 0, :], slots >= t)
 

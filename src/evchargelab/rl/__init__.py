@@ -1,6 +1,6 @@
 """Actor-critic learning engine: networks, environments, training, persistence."""
 
-from .env import REWARD_REGRET, AggregateEnv, ChargingEnv, EnvTransition, ReducedState, RlState
+from .env import REWARD_REGRET, AggregateEnv, ChargingEnv
 from .nets import (
     CriticParams,
     PolicyParams,

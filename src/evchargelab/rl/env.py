@@ -1,11 +1,12 @@
 """Charging environments for the learning schedulers.
 
-Two views of the same scenario dynamics:
+Two views of the same scenario dynamics. Each state is the array the policy
+reads, and `step` returns `(amounts committed, reward)`:
 
-- ChargingEnv: full state (per-EV SOC vector, normalized price), per-EV
-  continuous actions.
+- ChargingEnv: full state (each EV's SOC, zero for an EV not parked, then
+  the normalized price), per-EV continuous actions.
 - AggregateEnv: reduced two-dimensional state, a single scalar action (the
-  fleet's energy this slot) for the whole fleet. The state's two fields:
+  fleet's energy this slot) for the whole fleet. The state's two entries:
   - soc_ev: the parked fleet's SOC gap per remaining slot, i.e. the sum over
     parked EVs of residual demand / slots left (kWh per slot), in action
     units. It is the fleet energy that finishes every EV at a flat rate, and
@@ -34,12 +35,9 @@ charges the flat rates on a flat base load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..baselines import _allocate_aggregate
-from ..model import Scenario, bills, flat_completion_change, laxity_corridor, masked_sum
+from ..model import Scenario, allocate_aggregate, bills, flat_completion_change, laxity_corridor, masked_sum
 
 REWARD_EXACT = "exact-cost"
 # Minus the extra bill a step causes over finishing the parked EVs at their
@@ -49,37 +47,6 @@ REWARD_MODES = (REWARD_EXACT, REWARD_REGRET)
 
 # Per-row scenario data that a reset replaces.
 _ROW_DATA = ("t_arr", "t_dep", "demand", "b_max", "capacity", "soc_init", "mask", "base_load", "load_cap")
-
-
-@dataclass(frozen=True)
-class RlState:
-    """Full state: fixed-length SOC vector (zero for absent EVs) plus price."""
-
-    soc: np.ndarray
-    price: float
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate((self.soc, np.asarray(self.price)[..., None]), axis=-1)
-
-
-@dataclass(frozen=True)
-class ReducedState:
-    """Aggregate state: the parked fleet's SOC gap per remaining slot and the base load."""
-
-    soc_ev: float
-    l_b: float
-
-    def vector(self) -> np.ndarray:
-        return np.array((self.soc_ev, self.l_b)).T.copy()
-
-
-@dataclass(frozen=True)
-class EnvTransition:
-    state: object
-    action: np.ndarray
-    reward: float
-    next_state: object
-    terminal: bool
 
 
 class _Episodes:
@@ -94,7 +61,6 @@ class _Episodes:
         for sc in scenarios:
             self._check(sc)
         if self.batched:
-            self.scenarios = scenarios
             self._rows = (np.arange(len(scenarios)),)
             for name in _ROW_DATA:
                 setattr(self, name, np.stack([np.asarray(getattr(sc, name)) for sc in scenarios]))
@@ -113,12 +79,11 @@ class _Episodes:
     def reset(self, rows=None, scenarios=()):
         """Start new episodes: in every row, or in `rows` on their new `scenarios`."""
         if rows is None:
-            self.t = np.ones(len(self.scenarios), dtype=int) if self.batched else 1
+            self.t = np.ones(len(self.demand), dtype=int) if self.batched else 1
             self.residuals = self.demand.copy()
         else:
             for row, sc in zip(rows, scenarios):
                 self._check(sc)
-                self.scenarios[row] = sc
                 for name in _ROW_DATA:
                     getattr(self, name)[row] = getattr(sc, name)
             self.t = self.t.copy()
@@ -132,13 +97,12 @@ class _Episodes:
     def _start(self, rows):
         """Reset the subclass's own per-episode data of `rows` (None: every row)."""
 
-    def _advance(self, amounts, reward) -> EnvTransition:
-        """Move every row past its slot and observe the next one."""
-        prev_state = self.state
+    def _advance(self, amounts, reward):
+        """Move every row past its slot and observe the next one; returns (amounts, reward)."""
         self.t = self.t + 1
         self.done = (self.t > self.horizon) | (self.n_evs > 0) & (self.residuals <= 1e-9).all(axis=-1)
         self.state = self._observe()
-        return EnvTransition(prev_state, amounts, reward, self.state, self.done)
+        return amounts, reward
 
     def _at_slot(self, series: np.ndarray, t) -> np.ndarray:
         """Each row's entry of a per-slot series (slots on the axis after the rows) at its slot t."""
@@ -167,10 +131,11 @@ class ChargingEnv(_Episodes):
             self.charged[rows] = 0.0
             self._last_ev_load[rows] = 0.0
         cap = np.where(np.isfinite(self.load_cap), self.load_cap, 2.0 * self.base_load.max(axis=-1))
-        self.price_scale = np.maximum(self.price.unit_price(cap), 1e-9)
+        scale = self.price.unit_price(cap)  # 0 with k0 = 0 on a zero base load: the fleet's top rate scales then
+        self.price_scale = np.maximum(np.where(scale > 0, scale, self.price.unit_price(self.b_max.sum(-1))), 1e-9)
 
-    def _observe(self) -> RlState:
-        """State of slot t; also caches the slot's corridor, which `bounds` returns."""
+    def _observe(self) -> np.ndarray:
+        """State of slot t (SOC entries, then price); also caches the slot's corridor, which `bounds` returns."""
         t = np.asarray(self.t)[..., None]
         slot = np.minimum(self.t, self.horizon)
         parked = self._parked(slot)
@@ -182,13 +147,13 @@ class ChargingEnv(_Episodes):
         # EV load just realized in the previous slot.
         lb = self._at_slot(self.base_load, slot)
         price = self.price.unit_price(lb + self._last_ev_load) / self.price_scale
-        return RlState(soc=np.where(parked, soc, 0.0), price=price)
+        return np.concatenate((np.where(parked, soc, 0.0), np.asarray(price)[..., None]), axis=-1)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Feasibility corridor [lo, hi] for each EV in the current slot."""
         return self._bounds
 
-    def step(self, action: np.ndarray) -> EnvTransition:
+    def step(self, action: np.ndarray):
         if self.done.any():
             raise RuntimeError("episode finished; call reset()")
         lo, hi = self._bounds
@@ -220,9 +185,9 @@ class AggregateEnv(_Episodes):
         # the policy operates on O(1) values regardless of fleet size.
         self.action_scale = np.maximum(self.demand.sum(axis=-1) / max(self.horizon, 1), 1e-9)
 
-    def _observe(self) -> ReducedState:
-        """Reduced state of slot t; also caches the slot's parked EVs (`_live`),
-        their corridor, and the corridor's sums (kWh)."""
+    def _observe(self) -> np.ndarray:
+        """Reduced state (soc_ev, l_b) of slot t; also caches the slot's parked
+        EVs (`_live`), their corridor, and the corridor's sums (kWh)."""
         t = np.minimum(self.t, self.horizon)
         live = self._live = self._parked(t) & (self.residuals > 1e-9)
         slots_after = self.t_dep - t[..., None]
@@ -230,23 +195,24 @@ class AggregateEnv(_Episodes):
         gap = np.divide(self.residuals, slots_after + 1, out=np.zeros(self.residuals.shape), where=live)
         lo, self._hi, gap = masked_sum(np.array((lo, hi, gap)), live)
         self._lo = np.minimum(lo, self._hi)
-        return ReducedState(soc_ev=gap / self.action_scale, l_b=self._at_slot(self.base_load, t) / self.lb_scale)
+        # C-contiguous, with rows first, for the policy's forward pass.
+        return np.array((gap / self.action_scale, self._at_slot(self.base_load, t) / self.lb_scale)).T.copy()
 
     def bounds(self) -> tuple[float, float]:
         """Aggregate corridor (in action units): laxity minima up to headroom."""
         return self._lo / self.action_scale, self._hi / self.action_scale
 
-    def step(self, action) -> EnvTransition:
+    def step(self, action):
         if self.done.any():
             raise RuntimeError("episode finished; call reset()")
         action = np.asarray(action, dtype=float).reshape(self.action_scale.shape)
         budget = np.minimum(np.maximum(self.action_scale * action, self._lo), self._hi)
         live = self._live
-        amounts = _allocate_aggregate(live, self._corridor, self._order, budget)
+        amounts = allocate_aggregate(live, self._corridor, self._order, budget)
         committed = amounts.sum(axis=-1)
         reward = -bills(committed, self._at_slot(self.base_load, self.t), self.price)
         self.residuals -= amounts
         if self.reward_mode == REWARD_REGRET:
             after = np.where(live, self.residuals, 0.0)
-            reward = reward - flat_completion_change(after + amounts, after, self.t_dep, self.t, self)
+            reward -= flat_completion_change(after + amounts, after, self.t_dep, self.t, self.base_load, self.price)
         return self._advance(committed[..., None], reward)

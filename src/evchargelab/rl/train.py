@@ -333,7 +333,7 @@ def _run_training(env_cls, scenario_sampler, cfg: TrainConfig) -> TrainResult:
             else:
                 strikes = 0
 
-    states = env.state.vector()
+    states = env.state
     while True:
         for row in range(n):  # each row syncs, and all receive the same parameters
             policy, synced, _ = store.sync(row)
@@ -350,9 +350,9 @@ def _run_training(env_cls, scenario_sampler, cfg: TrainConfig) -> TrainResult:
             critic_scale[i] = _clip_scale(norm, gc)
             critic_clips += int((norm > gc).sum())
 
-            transition = env.step(actions)
-            rewards[i], terminal[i] = transition.reward, transition.terminal
-            episode_reward += transition.reward
+            _, rewards[i] = env.step(actions)
+            terminal[i] = env.done
+            episode_reward += rewards[i]
             episode_steps += 1
             if cfg.advantage == ADVANTAGE_TRACE:
                 running_trace = accumulate_return(rewards[i], running_trace, cfg.discount)
@@ -364,7 +364,7 @@ def _run_training(env_cls, scenario_sampler, cfg: TrainConfig) -> TrainResult:
                 env.reset(ended, scenarios(ended.size))
                 running_trace[ended] = episode_reward[ended] = episode_steps[ended] = 0
                 episode_t0[ended] = time.perf_counter()
-            states = env.state.vector()
+            states = env.state
             forward, draws, actions = _act(env, policy, states, rng)
             q_next[i] = np.where(terminal[i], 0.0, critics.factors(states, actions)[0])
             delta = td_error(rewards[i], q_next[i], q_cur[i], cfg.discount)
@@ -459,12 +459,10 @@ def sca_schedule(policy: PolicyParams, scenario: Scenario, reward_mode: str = RE
     forced = 0
     while not env.done:
         t = env.t
-        lo, hi = env.bounds()
-        _, mu, _ = policy_forward(policy, env.state.vector())
-        action = mu.clip(lo, hi)
+        lo, _ = env.bounds()
+        _, mu, _ = policy_forward(policy, env.state)
         forced += int(np.sum(mu < lo - 1e-12))
-        transition = env.step(action)
-        B[:, t - 1] = transition.action
+        B[:, t - 1], _ = env.step(mu)  # the env clips the mean into the corridor
     if forced:
         logger.debug("sca_schedule: %d force-charged components", forced)
     return ChargingSchedule(B)
@@ -485,9 +483,8 @@ def calc_aggregate_series(policy: PolicyParams, scenario: Scenario, reward_mode:
     env = AggregateEnv(scenario)
     series = np.zeros(scenario.horizon)
     while not env.done:
-        t = env.t
-        _, mu, _ = policy_forward(policy, env.state.vector())
-        series[t - 1] = max(float(mu[0]), 0.0) * env.action_scale
+        _, mu, _ = policy_forward(policy, env.state)
+        series[env.t - 1] = max(float(mu[0]), 0.0) * env.action_scale
         env.step(float(mu[0]))
     return series
 

@@ -292,6 +292,8 @@ class TestQLearnConfig:
             QLearnConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             QLearnConfig(discount=1.0)
+        with pytest.raises(ValueError, match="episodes 0"):
+            QLearnConfig(episodes=0)
 
     def test_epsilon_decays_linearly_over_first_half(self):
         cfg = QLearnConfig(episodes=100)

@@ -470,6 +470,19 @@ class TestReports:
             f"convergence_{alg}_{seed}_discount_{value}.csv" for alg, seed in (("CALC", 7), ("SCA", 5))
             for value in "ab"]
 
+    def test_rerun_removes_only_stale_curves(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        kept = ["notes.txt", "convergence_SCA_3_discount_a.csv", "convergence_XYZ_3.csv"]
+        for name in kept:
+            (out / name).write_text("kept\n")
+        cfg = fast_cfg(algorithms=("SCA",))
+        for seed in (3, 9):
+            emit_report(run_experiment(replace(cfg, sca=replace(cfg.sca, seed=seed))), out)
+        assert sorted(p.name for p in out.glob("convergence_SCA_*.csv")) == [
+            "convergence_SCA_3_discount_a.csv", "convergence_SCA_9.csv"]
+        assert all((out / name).read_text() == "kept\n" for name in kept)
+
     def test_zero_price_summary_has_no_ratio(self, tmp_path):
         spec = small_spec(n_evs=3, price=PriceModel(k0=0.0, k1=0.0))
         result = run_experiment(fast_cfg(algorithms=("EC", "SCA"), scenario=spec))
@@ -525,6 +538,17 @@ class TestCli:
     def test_bad_scenario_value_exits_two(self, tmp_path, capsys, setting, message):
         path = write_config(tmp_path)
         path.write_text(path.read_text().replace("base_load_low_kwh = 5.0", setting))
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("setting, message", ids=["learning rate 0", "one level", "negative episodes"], argvalues=[
+        ("learning_rate = 0", "learning_rate 0.0 outside (0, 1]"),
+        ("levels = 1", "levels 1: at least 2 action levels required"),
+        ("episodes = -5", "episodes -5 must be at least 1"),
+    ])
+    def test_bad_aem_value_exits_two(self, tmp_path, capsys, setting, message):
+        path = write_config(tmp_path, f"[aem]\n{setting}\n")
         assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -42,7 +42,8 @@ def unit_price(l_ev, l_b, k0, k1):
     """
     ev = make_ev(0, 1, 2, demand=max(l_ev, 1.0), b_max=max(l_ev, 1.0), capacity=1000.0)
     env = ChargingEnv(make_scenario([ev], horizon=2, base_load=[0.0, l_b], k0=k0, k1=k1))
-    return env.step(np.array([l_ev])).next_state.price * env.price_scale
+    env.step(np.array([l_ev]))
+    return env.state[-1] * env.price_scale
 
 
 class TestUnitPrice:
@@ -143,7 +144,7 @@ class TestFlatCompletionChange:
             later = t_dep > t
             want = (reference_flat_bill(after[later], t_dep[later] - t, 1, t, scn)
                     - reference_flat_bill(before, t_dep - t + 1, 0, t, scn))
-            assert flat_completion_change(before, after, t_dep, t, scn) == want
+            assert flat_completion_change(before, after, t_dep, t, scn.base_load, scn.price) == want
 
 
 class TestHorizonCost:

@@ -13,8 +13,6 @@ from evchargelab.rl.env import (
     REWARD_REGRET,
     AggregateEnv,
     ChargingEnv,
-    ReducedState,
-    RlState,
 )
 
 from conftest import make_ev, make_scenario, random_feasible_scenario
@@ -22,11 +20,22 @@ from conftest import make_ev, make_scenario, random_feasible_scenario
 
 class TestStates:
     def test_full_state_vector(self):
-        state = RlState(soc=np.array([0.2, 0.5]), price=0.3)
-        np.testing.assert_allclose(state.vector(), [0.2, 0.5, 0.3])
+        # The SOC entries, then the price of the base load over the price at twice its peak.
+        evs = [make_ev(0, 1, 3, demand=2.0, capacity=10.0, soc=0.2), make_ev(1, 1, 3, demand=2.0, soc=0.5)]
+        env = ChargingEnv(make_scenario(evs, horizon=3, base_load=[1.0, 2.0, 2.0], k0=0.0, k1=0.001))
+        np.testing.assert_allclose(env.state, [0.2, 0.5, 0.25])
+        env.step(np.array([1.0, 0.0]))
+        np.testing.assert_allclose(env.state, [0.3, 0.5, 0.75])
 
     def test_reduced_state_vector(self):
-        assert ReducedState(soc_ev=1.5, l_b=0.8).vector() == pytest.approx([1.5, 0.8])
+        # (soc_ev, l_b): 4 kWh over 2 slots in units of 2 kWh per slot, and 3 of a peak base load of 4.
+        scn = make_scenario([make_ev(0, 1, 2, demand=4.0)], horizon=2, base_load=[3.0, 4.0])
+        env = AggregateEnv(scn)
+        np.testing.assert_allclose(env.state, [1.0, 0.75])
+        # The rows of a batched env stack their states, C-contiguous for the policy's forward pass.
+        rows = AggregateEnv([scn, make_scenario([make_ev(0, 1, 2, demand=2.0)], horizon=2, base_load=[2.0, 4.0])])
+        np.testing.assert_allclose(rows.state, [[1.0, 0.75], [1.0, 0.5]])
+        assert rows.state.flags.c_contiguous
 
 
 class TestChargingEnv:
@@ -38,25 +47,25 @@ class TestChargingEnv:
     def test_state_dimension(self):
         env = ChargingEnv(self._slack_scenario())
         assert env.state_dim == 2 and env.action_dim == 1
-        assert env.state.vector().shape == (2,)
+        assert env.state.shape == (2,)
 
     def test_zero_action_keeps_soc_and_costs_nothing(self):
         env = ChargingEnv(self._slack_scenario())
-        soc_before = env.state.soc.copy()
-        transition = env.step(np.zeros(1))
-        assert transition.reward == 0.0
-        np.testing.assert_allclose(transition.next_state.soc, soc_before)
+        soc_before = env.state[:-1].copy()
+        _, reward = env.step(np.zeros(1))
+        assert reward == 0.0
+        np.testing.assert_allclose(env.state[:-1], soc_before)
 
     def test_soc_increment(self):
         env = ChargingEnv(self._slack_scenario())
-        transition = env.step(np.array([2.0]))
-        assert transition.next_state.soc[0] == pytest.approx(1.0 / 18.0)
+        env.step(np.array([2.0]))
+        assert env.state[0] == pytest.approx(1.0 / 18.0)
 
     def test_exact_cost_reward(self):
         scn = self._slack_scenario()
         env = ChargingEnv(scn, REWARD_EXACT)
-        transition = env.step(np.array([1.5]))
-        assert transition.reward == pytest.approx(-slot_cost([1.5], 1.0, scn.price))
+        _, reward = env.step(np.array([1.5]))
+        assert reward == pytest.approx(-slot_cost([1.5], 1.0, scn.price))
 
     def test_unknown_reward_mode(self):
         with pytest.raises(ValueError):
@@ -80,11 +89,11 @@ class TestChargingEnv:
             while not env.done:
                 t = env.t
                 action = rng.uniform(-1, 5, size=scn.n_evs)
-                transition = env.step(action)
+                amounts, _ = env.step(action)
                 for row, ev in enumerate(scn.evs):
-                    assert -1e-12 <= transition.action[row] <= ev.b_max + 1e-12
+                    assert -1e-12 <= amounts[row] <= ev.b_max + 1e-12
                     if not scn.mask[row, t - 1]:
-                        assert transition.action[row] == 0.0
+                        assert amounts[row] == 0.0
             assert np.all(env.residuals <= 1e-6)
 
     def test_reward_sum_is_negative_horizon_cost(self, rng):
@@ -96,41 +105,47 @@ class TestChargingEnv:
         total_reward = 0.0
         while not env.done:
             t = env.t
-            transition = env.step(rng.uniform(0, 3, size=scn.n_evs))
-            B[:, t - 1] = transition.action
-            total_reward += transition.reward
+            B[:, t - 1], reward = env.step(rng.uniform(0, 3, size=scn.n_evs))
+            total_reward += reward
         assert total_reward == pytest.approx(-horizon_cost(ChargingSchedule(B), scn), abs=1e-9)
 
     def test_absent_ev_has_zero_soc_entry(self):
         evs = [make_ev(0, 1, 2, demand=1.0, soc=0.5), make_ev(1, 4, 6, demand=1.0, soc=0.3)]
         scn = make_scenario(evs, horizon=6, base_load=[1.0] * 6)
         env = ChargingEnv(scn)
-        assert env.state.soc[0] == pytest.approx(0.5)
-        assert env.state.soc[1] == 0.0  # not yet arrived
+        assert env.state[0] == pytest.approx(0.5)
+        assert env.state[1] == 0.0  # not yet arrived
 
     def test_price_normalized_to_unit_interval(self):
         scn = make_scenario([make_ev(0, 1, 4, demand=2.0)], horizon=4,
                             base_load=[10.0, 20.0, 30.0, 40.0], load_cap=100.0)
         env = ChargingEnv(scn)
         while not env.done:
-            assert 0.0 < env.state.price <= 1.0
+            assert 0.0 < env.state[-1] <= 1.0
             env.step(np.zeros(1))
 
     def test_price_scale_floored(self):
         # k0 = 0 on a zero base load with no cap: the scale would be 0 and the price 0/0.
         env = ChargingEnv(make_scenario([make_ev(0, 1, 4, demand=2.0)], horizon=4, k0=0.0, k1=0.001))
-        assert env.price_scale > 0.0 and np.isfinite(env.state.price)
+        assert env.price_scale > 0.0 and np.isfinite(env.state[-1])
         # The shipped benchmark's scale is unchanged: k0 + 2 * k1 * (2 * peak base load).
         bench = ChargingEnv(build_scenario(benchmark_spec(), 1)[0])
         assert bench.price_scale == 0.01 + 2.0 * 0.01 * 2.0
+
+    def test_price_feature_bounded_when_price_at_cap_is_zero(self):
+        # k0 = 0 on a zero base load: the price at the cap is 0, so the fleet's top rate scales the price.
+        evs = [make_ev(i, 1, 24, demand=10.0, b_max=2.4) for i in range(4)]
+        env = ChargingEnv(make_scenario(evs, horizon=24, k0=0.0, k1=0.001))
+        env.step(np.full(4, 2.4))
+        assert env.state[-1] == pytest.approx(1.0)
 
     def test_done_after_horizon_without_evs(self):
         scn = make_scenario([], horizon=3, base_load=[1.0] * 3)
         env = ChargingEnv(scn)
         steps = 0
         while not env.done:
-            transition = env.step(np.zeros(0))
-            assert transition.reward == 0.0
+            _, reward = env.step(np.zeros(0))
+            assert reward == 0.0
             steps += 1
         assert steps == 3
         with pytest.raises(RuntimeError):
@@ -145,7 +160,7 @@ class TestAggregateEnv:
     def test_state_dim_independent_of_fleet(self):
         env = AggregateEnv(self._scenario())
         assert AggregateEnv.state_dim == 2
-        assert env.state.vector().shape == (2,)
+        assert env.state.shape == (2,)
 
     def test_action_scale_is_mean_energy_per_slot(self):
         env = AggregateEnv(self._scenario())
@@ -160,8 +175,8 @@ class TestAggregateEnv:
 
     def test_budget_split_respects_caps(self):
         env = AggregateEnv(self._scenario())
-        transition = env.step(5.0 / env.action_scale)
-        assert transition.action[0] == pytest.approx(5.0)
+        amounts, _ = env.step(5.0 / env.action_scale)
+        assert amounts[0] == pytest.approx(5.0)
         assert np.all(env.scenario.demand - env.residuals <= 2.0 + 1e-12)
 
     def test_rollout_meets_demand(self, rng):
@@ -175,9 +190,9 @@ class TestAggregateEnv:
     def test_soc_ev_is_fleet_soc_gap_rate(self):
         # 3 EVs with 3 kWh left over 4 slots each need 0.75 kWh per slot.
         env = AggregateEnv(self._scenario())
-        assert env.state.soc_ev == pytest.approx(3 * 0.75 / env.action_scale)
+        assert env.state[0] == pytest.approx(3 * 0.75 / env.action_scale)
         env.step(6.0 / env.action_scale)  # 2 kWh each, 1 kWh left over 3 slots
-        assert env.state.soc_ev == pytest.approx(3 * (1.0 / 3.0) / env.action_scale)
+        assert env.state[0] == pytest.approx(3 * (1.0 / 3.0) / env.action_scale)
 
     def test_flat_regret_reward(self):
         # On a flat base load the flat rate (1 kWh/slot here) adds no bill
@@ -186,15 +201,15 @@ class TestAggregateEnv:
         rewards = {}
         for amount in (0.0, 1.0, 3.0):
             env = AggregateEnv(scn, REWARD_REGRET)
-            rewards[amount] = env.step(amount / env.action_scale).reward
+            rewards[amount] = env.step(amount / env.action_scale)[1]
         assert rewards[1.0] == pytest.approx(0.0, abs=1e-12)
         assert rewards[0.0] < 0.0 and rewards[3.0] < 0.0
 
     def test_reward_matches_allocated_amounts(self):
         scn = self._scenario()
         env = AggregateEnv(scn, REWARD_EXACT)
-        transition = env.step(4.0 / env.action_scale)
-        assert transition.reward == pytest.approx(-slot_cost([4.0], 2.0, scn.price))
+        _, reward = env.step(4.0 / env.action_scale)
+        assert reward == pytest.approx(-slot_cost([4.0], 2.0, scn.price))
 
 
 def per_ev_bounds(env):
@@ -258,7 +273,7 @@ class TestCorridorMatchesPerEvFormulas:
             scn = random_feasible_scenario(np.random.default_rng(1000 + k), n_max=12, t_max=24)
             env = ChargingEnv(scn)
             while True:
-                np.testing.assert_array_equal(env.state.soc, per_ev_soc(env))
+                np.testing.assert_array_equal(env.state[:-1], per_ev_soc(env))
                 if env.done:
                     break
                 lo, hi = env.bounds()
@@ -267,9 +282,9 @@ class TestCorridorMatchesPerEvFormulas:
                 np.testing.assert_array_equal(hi, ref_hi)
                 action = rng.uniform(-1.0, 5.0, size=scn.n_evs)
                 action[rng.random(scn.n_evs) < 0.3] = rng.choice([-0.0, 0.0])
-                transition = env.step(action)
+                amounts, _ = env.step(action)
                 # The step clips into the cached corridor exactly as np.clip does, signed zeros included.
-                assert transition.action.tobytes() == np.clip(action, ref_lo, ref_hi).tobytes()
+                assert amounts.tobytes() == np.clip(action, ref_lo, ref_hi).tobytes()
 
     def test_aggregate_env(self, rng):
         for k in range(20):
@@ -300,19 +315,19 @@ class TestRowsMatchSingleEnvs:
         for _ in range(150):
             lo, hi = batch.bounds()
             for row, one in enumerate(singles):
-                np.testing.assert_allclose(batch.state.vector()[row], one.state.vector(), rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(batch.state[row], one.state, rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(lo[row], one.bounds()[0], rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(hi[row], one.bounds()[1], rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(batch.residuals[row], one.residuals, rtol=1e-12, atol=1e-12)
                 assert batch.t[row] == one.t
             actions = actions_of(rng)
-            transition = batch.step(actions)
+            amounts, rewards = batch.step(actions)
             for row, one in enumerate(singles):
-                want = one.step(actions[row])
-                np.testing.assert_allclose(transition.action[row], want.action, rtol=1e-12, atol=1e-12)
-                assert transition.reward[row] == pytest.approx(want.reward, rel=1e-12, abs=1e-12)
-                assert transition.terminal[row] == want.terminal
-            ended = np.flatnonzero(transition.terminal)
+                want_amounts, want_reward = one.step(actions[row])
+                np.testing.assert_allclose(amounts[row], want_amounts, rtol=1e-12, atol=1e-12)
+                assert rewards[row] == pytest.approx(want_reward, rel=1e-12, abs=1e-12)
+                assert batch.done[row] == one.done
+            ended = np.flatnonzero(batch.done)
             if ended.size:
                 new = [sampler(next(seeds)) for _ in ended]
                 batch.reset(ended, new)

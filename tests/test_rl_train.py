@@ -445,10 +445,8 @@ class _DegradingEnv:
 
     def __init__(self, scenarios, reward_mode):
         self.rows = len(scenarios)
-        self.state = self
-
-    def vector(self):
-        return np.zeros((self.rows, 1))
+        self.state = np.zeros((self.rows, 1))
+        self.done = np.ones(self.rows, dtype=bool)
 
     def bounds(self):
         return np.zeros((self.rows, 1)), np.ones((self.rows, 1))
@@ -460,13 +458,11 @@ class _DegradingEnv:
         return -1.0 if episode <= 25 else -1000.0
 
     def step(self, actions):
-        from evchargelab.rl.env import EnvTransition
-
         rewards = []
         for _ in range(self.rows):
             type(self).count += 1
             rewards.append(self.reward(type(self).count))
-        return EnvTransition(self, actions, np.array(rewards), self, np.ones(self.rows, dtype=bool))
+        return actions, np.array(rewards)
 
 
 class _NearZeroEnv(_DegradingEnv):
