@@ -18,7 +18,7 @@ from evchargelab.baselines import (
     ec_schedule,
     oa_schedule,
 )
-from evchargelab.harness import benchmark_spec, build_scenario
+from evchargelab.harness import benchmark_spec, build_scenario, make_sampler
 from evchargelab.model import DEFAULT_TOL, ChargingSchedule, EVArrays, horizon_cost, laxity_corridor, validate_schedule
 from evchargelab.rl import AggregateEnv, calc_schedule, init_policy, sca_schedule
 from evchargelab.scenario import synthetic_base_load
@@ -351,6 +351,18 @@ class TestAemTraining:
             assert np.all(table.visit_counts[state, informed] == 1)
             assert np.all(np.diff(informed) == 1)  # one contiguous band
             assert half + 1 <= informed.size <= 2 * half + 1  # clipped at most on one side
+
+    @pytest.mark.parametrize("episodes, levels, seed, digest", ids=["train-workload", "band"], argvalues=[
+        (60, 33, 1, "416f4ae11c64468f606d9383a3b7cc72daf9fb4a6092db85595b221fa236aa7f"),
+        (40, 101, 2, "925b197ca305e061dee971ae5658540b104ca44902e8e8c31d9c19db274128a8"),
+    ])
+    def test_trained_table_bit_exact_on_benchmark(self, episodes, levels, seed, digest):
+        # SHA-256 of the values and visit counts of a table trained on the benchmark
+        # sampler, as recorded when every step's reward was its own kernel call: the
+        # train workload's AEM, and a 101-level grid whose updates move a band of 3.
+        table = aem_train(make_sampler(benchmark_spec()), QLearnConfig(episodes=episodes, seed=seed), levels)
+        assert table.half_width == (levels == 101)
+        assert hashlib.sha256(table.values.tobytes() + table.visit_counts.tobytes()).hexdigest() == digest
 
     def test_schedule_uses_training_load_scale(self):
         # Bins come from the table's load scale, not the evaluated scenario's
