@@ -6,6 +6,9 @@ configurations at a reduced step budget (the `train` benchmark workload's
 `BENCH_training.json`: the commit, the seed, the budget, and for each
 learner the steps trained, the CPU seconds of the fastest of `--repeats`
 runs, and the steps per CPU second. AEM's training time is reported too.
+`experiment_wall_s` is the wall time of the fastest of `--repeats`
+`run_experiment` calls at the same budget: the three trainings, on as many
+worker processes as CPUs, and all five algorithms on benchmark fleets 1-5.
 Run from the repository root with:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 demos/bench_training.py --out BENCH_training.json
@@ -21,7 +24,7 @@ import time
 from dataclasses import replace
 
 from evchargelab import baselines
-from evchargelab.harness import benchmark_spec, benchmark_train_config, make_sampler
+from evchargelab.harness import benchmark_experiment, benchmark_spec, benchmark_train_config, make_sampler, run_experiment
 from evchargelab.rl.train import train_calc_stage1, train_sca
 
 
@@ -43,6 +46,16 @@ def _cpu_seconds(fn, repeats: int):
     return best, result
 
 
+def _wall_seconds(fn, repeats: int) -> float:
+    """Fastest wall seconds over `repeats` runs of fn()."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=6_000, help="training budget k_max (default 6000)")
@@ -58,10 +71,12 @@ def main(argv=None) -> dict:
     sampler = make_sampler(benchmark_spec())
     report = {"bench": "training", "commit": args.commit or _commit(), "seed": args.seed, "k_max": args.steps,
               "repeats": args.repeats, "python": platform.python_version(), "learners": {}}
+    trainers = {}
     for name, train in (("SCA", train_sca), ("CALC", train_calc_stage1)):
         cfg = benchmark_train_config(name)
         cfg = replace(cfg, k_max=args.steps, seed=args.seed, critic_warmup=cfg.critic_warmup * args.steps // cfg.k_max,
                       n_workers=args.n_workers or cfg.n_workers)
+        trainers[name] = cfg
         cpu_s, result = _cpu_seconds(lambda: train(sampler, cfg), args.repeats)
         report["learners"][name] = {"steps": result.global_steps, "cpu_s": round(cpu_s, 4),
                                     "steps_per_s": round(result.global_steps / cpu_s, 1),
@@ -69,6 +84,11 @@ def main(argv=None) -> dict:
     qcfg = baselines.QLearnConfig(episodes=args.aem_episodes, seed=args.seed)
     cpu_s, _ = _cpu_seconds(lambda: baselines.aem_train(sampler, qcfg, 33), args.repeats)
     report["learners"]["AEM"] = {"episodes": args.aem_episodes, "cpu_s": round(cpu_s, 4)}
+    experiment = benchmark_experiment()
+    experiment = replace(experiment, sca=trainers["SCA"], calc=trainers["CALC"],
+                         aem=replace(experiment.aem, episodes=args.aem_episodes))
+    report["experiment_seeds"] = list(experiment.seeds)
+    report["experiment_wall_s"] = round(_wall_seconds(lambda: run_experiment(experiment), args.repeats), 4)
     text = json.dumps(report, indent=2)
     with open(args.out, "w") as fh:
         fh.write(text + "\n")

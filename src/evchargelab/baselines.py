@@ -14,7 +14,8 @@ in `AEM_SOC_BINS` x `AEM_LOAD_BINS` cells. The update rule:
   parked EVs at their flat rates (`model.flat_completion_change`), so the
   cost of deferring shows in the step that defers. A step that charges
   the flat rates on a flat base load, or only what the laxity clamp
-  forces, scores 0.
+  forces, scores 0. The rewards are computed once per episode, after the
+  rollout, in one kernel call: no action depends on them.
 - Target: reward + discount * (best informed value of the next state), one
   step, with discount 0.5 by default.
 - Neighbours: the target also moves every level within 0.05 kWh (per EV)
@@ -35,6 +36,7 @@ in `AEM_SOC_BINS` x `AEM_LOAD_BINS` cells. The update rule:
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,7 +48,7 @@ from .model import (
     ChargingSchedule,
     Scenario,
     allocate_aggregate,
-    flat_completion_change,
+    flat_completion_bills,
     laxity_corridor,
     slot_cost,
 )
@@ -231,9 +233,11 @@ def _aem_rollout(table: QTable, scenario: Scenario, pick_action, transitions: li
     """Roll one episode and return its schedule.
 
     With a `transitions` list, each step's (state, action, reward,
-    next_state, done) is appended to it. A step's reward is minus the extra bill it causes: this slot's bill plus
-    finishing the parked EVs at their flat rates from the next slot, less
-    finishing them at their flat rates from this slot.
+    next_state, done) is appended to it after the rollout. A step's reward
+    is minus the extra bill it causes: this slot's bill plus finishing the
+    parked EVs at their flat rates from the next slot, less finishing them
+    at their flat rates from this slot. One kernel call bills every step's
+    flat rates; each step sums its own slots, as `flat_completion_change` does.
     """
     T = scenario.horizon
     B = np.zeros((scenario.n_evs, T))
@@ -241,24 +245,29 @@ def _aem_rollout(table: QTable, scenario: Scenario, pick_action, transitions: li
     total_demand = max(residuals.sum(), 1e-12)
     load_fraction = scenario.base_load / table.load_scale
     order = scenario.t_dep.argsort(kind="stable")
+    steps, residual_pairs = [], []  # per step: (state, action, slot bill, t, next_state); parked residuals
     for t in range(1, T + 1):
         parked = scenario.mask[:, t - 1] & (residuals > 1e-9)
         state = table.state_index(1.0 - residuals.sum() / total_demand, load_fraction[t - 1])
         if not parked.any():
             continue
         action = pick_action(state)
-        rows = np.flatnonzero(parked)
         corridor = laxity_corridor(residuals, scenario.b_max, scenario.t_dep - t)
-        amounts = allocate_aggregate(parked, corridor, order, action * table.quantum * rows.size)
+        amounts = allocate_aggregate(parked, corridor, order, action * table.quantum * np.count_nonzero(parked))
         B[:, t - 1] = amounts
         residuals -= amounts
         if transitions is None:
             continue
-        reward = -slot_cost(amounts[amounts > 0], scenario.base_load[t - 1], scenario.price)
-        reward -= flat_completion_change(residuals[rows] + amounts[rows], residuals[rows], scenario.t_dep[rows], t,
-                                         scenario.base_load, scenario.price)
+        residual_pairs.append(np.where(parked, (residuals + amounts, residuals), 0.0))  # before and after the slot
+        bill = slot_cost(amounts[amounts > 0], scenario.base_load[t - 1], scenario.price)
         next_state = table.state_index(1.0 - residuals.sum() / total_demand, load_fraction[min(t, T - 1)])
-        transitions.append((state, action, reward, next_state, t == T))
+        steps.append((state, action, bill, t, next_state))
+    if steps:
+        cost = flat_completion_bills(*np.stack(residual_pairs, axis=1), scenario.t_dep, [step[3] for step in steps],
+                                     scenario.base_load, scenario.price)
+        for (state, action, bill, t, next_state), (bills_before, bills_after) in zip(steps, cost):
+            change = np.add.reduce(bills_after[t:]) - np.add.reduce(bills_before[t - 1:])
+            transitions.append((state, action, -bill - change, next_state, t == T))
     return ChargingSchedule(B)
 
 
@@ -298,9 +307,10 @@ def aem_train(scenario_sampler, cfg: QLearnConfig, levels: int) -> QTable:
     for episode in range(cfg.episodes):
         scenario = scenario_sampler(episode)
         eps = cfg.epsilon(episode)
+        greedy = functools.cache(table.greedy_level)  # the table changes only after the rollout
 
         def pick(state):
-            level = None if rng.random() < eps else table.greedy_level(state)
+            level = None if rng.random() < eps else greedy(state)
             return int(rng.integers(table.levels)) if level is None else level
 
         transitions = []

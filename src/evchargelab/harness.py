@@ -131,7 +131,7 @@ class TrainingReport:
     """The policies an experiment trained, and what training them took: the only record of each training."""
 
     policies: dict = field(default_factory=dict)  # (algorithm, training seed) -> (train_ms, TrainResult or None)
-    wall_ms: float = 0.0  # wall time of the training phase, concurrent or in-process
+    wall_ms: float = 0.0  # wall time of the training phase, until the last policy was in hand
     workers: int = 0  # worker processes of the concurrent phase; 0 if none ran
 
 
@@ -252,27 +252,30 @@ def load_config(path) -> ExperimentConfig:
     try:
         spec = _section(parser, "fleet", _section(parser, "scenario", ScenarioSpec(), _SCENARIO_KEYS), _FLEET_KEYS)
         spec = replace(spec, price=_section(parser, "price", spec.price, _PRICE_KEYS))
-        # The model's own checks refuse a base load or cap no scenario can have.
-        Scenario(horizon=spec.horizon, base_load=_fleet_source(spec)[0], evs=(), price=spec.price,
-                 load_cap=spec.load_cap)
-        aem = _section(parser, "aem", AemSettings(), _AEM_KEYS)
-        # The trainer's own checks refuse what no training can use; an empty table's checks the levels.
-        aem.qlearn(seed=0)
-        baselines.QTable(soc_bins=0, load_bins=0, levels=aem.levels, b_max=1.0)
         run = _fields(parser, "run", _RUN_KEYS)
-        return ExperimentConfig(
+        return _checked(ExperimentConfig(
             scenario=spec,
             algorithms=run.pop("algorithms"),
             seeds=run.pop("seeds"),
             sca=_section(parser, "sca", TrainConfig(), _TRAIN_KEYS),
             calc=_section(parser, "calc", TrainConfig(), _TRAIN_KEYS),
-            aem=aem,
+            aem=_section(parser, "aem", AemSettings(), _AEM_KEYS),
             **run,
-        )
+        ))
     except (KeyError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config {path}: {exc}") from exc
+
+
+def _checked(cfg: ExperimentConfig) -> ExperimentConfig:
+    """`cfg`, once the model's and the trainers' own checks accept its scenario and `[aem]` values."""
+    spec = cfg.scenario
+    Scenario(horizon=spec.horizon, base_load=_fleet_source(spec)[0], evs=(), price=spec.price,
+             load_cap=spec.load_cap)
+    cfg.aem.qlearn(seed=0)
+    baselines.QTable(soc_bins=0, load_bins=0, levels=cfg.aem.levels, b_max=1.0)  # an empty table checks the levels
+    return cfg
 
 
 def _fleet_source(spec: ScenarioSpec) -> tuple[np.ndarray, FleetConfig]:
@@ -432,38 +435,48 @@ def _attempt(cfg: ExperimentConfig, key: tuple[str, int]):
         return exc
 
 
-def _train_all(cfg: ExperimentConfig, keys) -> tuple[dict, TrainingReport]:
-    """Train each key once, before any run; returns each key's outcome and the report.
+def _train_all(cfg: ExperimentConfig, keys, meanwhile=lambda: None,
+               ready=lambda key, outcome: None) -> tuple[dict, TrainingReport]:
+    """Train each key once; returns each key's outcome and the report.
 
     An outcome is `_train`'s result or the exception it raised, so every run
     that needs a policy whose training failed fails with the same error. The
-    keys train side by side in forked processes, one per usable CPU, and one
-    after another in this process where the platform cannot fork, where
-    another thread runs (a forked child would inherit the locks it holds),
-    or where the pool cannot start.
+    keys train side by side in forked processes, one per usable CPU, while
+    this process calls `meanwhile()` and then `ready(key, outcome)` as each
+    outcome returns. Where the platform cannot fork, where another thread
+    runs (a forked child would inherit the locks it holds), or where the
+    pool cannot start, they train one after another in this process before
+    the same calls. The phase's wall time ends when the last outcome is in.
     """
     import multiprocessing
     import threading
 
     t0 = time.perf_counter()
-    outcomes, workers = None, 0
+    outcomes, workers = {}, 0
     if keys and "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, as_completed
 
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         workers = min(cpus, len(keys))
         try:
             with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                futures = [pool.submit(_attempt, cfg, key) for key in keys]
-                outcomes = [future.exception() or future.result() for future in futures]
+                futures = {pool.submit(_attempt, cfg, key): key for key in keys}
+                meanwhile()  # the runs never raise, so a fallback below cannot repeat them
+                for future in as_completed(futures):
+                    key = futures[future]
+                    outcomes[key] = future.exception() or future.result()
+                    wall_ms = (time.perf_counter() - t0) * 1e3
+                    ready(key, outcomes[key])
         except OSError:  # no process could be started
-            outcomes, workers = None, 0
-    if outcomes is None:
-        outcomes = [_attempt(cfg, key) for key in keys]
-    outcomes = dict(zip(keys, outcomes))
-    policies = {key: (outcome[2], outcome[1]) for key, outcome in outcomes.items()
-                if not isinstance(outcome, Exception)}
-    return outcomes, TrainingReport(policies, (time.perf_counter() - t0) * 1e3, workers)
+            workers = 0
+    if not workers:
+        outcomes = {key: _attempt(cfg, key) for key in keys}
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        meanwhile()
+        for key in keys:
+            ready(key, outcomes[key])
+    policies = {key: (outcomes[key][2], outcomes[key][1]) for key in keys if not isinstance(outcomes[key], Exception)}
+    return outcomes, TrainingReport(policies, wall_ms, workers)
 
 
 def _produce_schedule(cfg: ExperimentConfig, algorithm: str, scenario: Scenario, trained):
@@ -485,32 +498,37 @@ def _produce_schedule(cfg: ExperimentConfig, algorithm: str, scenario: Scenario,
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Train each learner once, then run every (algorithm, seed) pair.
+    """Train each learner once, and run every (algorithm, seed) pair once its policy is in hand.
 
-    A run's wall time covers its scheduling only. Failures are recorded, not raised.
+    EC and OA run while the learners train, and each learner's runs start
+    as its training returns (`_train_all`). Metrics and failures keep the
+    order seed, then configured algorithm. A run's wall time covers its
+    scheduling only. Failures are recorded, not raised.
     """
-    outcomes, training = _train_all(cfg, [_training_key(cfg, algorithm) for algorithm in _TRAINED
-                                          if algorithm in cfg.algorithms])
-    metrics: list[RunMetrics] = []
-    failures: list[RunFailure] = []
-    for seed in cfg.seeds:
-        scenario, truncations = build_scenario(cfg.scenario, seed)
-        for algorithm in cfg.algorithms:
+    drawn = {seed: build_scenario(cfg.scenario, seed) for seed in cfg.seeds}
+    runs = {}
+
+    def run(algorithm, trained=None):
+        for seed, (scenario, truncations) in drawn.items():
             try:
-                trained = outcomes.get(_training_key(cfg, algorithm))
                 t0 = time.perf_counter()
                 schedule = _produce_schedule(cfg, algorithm, scenario, trained)
                 wall_ms = (time.perf_counter() - t0) * 1e3
                 report = validate_schedule(schedule, scenario)
                 if not report.passed:
                     raise RuntimeError(f"schedule failed validation: {list(report.violations[:3])}")
-                gap = report.max_demand_gap()
-                loads = schedule.slot_totals() + scenario.base_load
-                metrics.append(RunMetrics(algorithm, seed, horizon_cost(schedule, scenario), float(loads.max()), loads,
-                                          wall_ms, gap, truncations))
+                loads, gap = schedule.slot_totals() + scenario.base_load, report.max_demand_gap()
+                runs[seed, algorithm] = RunMetrics(algorithm, seed, horizon_cost(schedule, scenario),
+                                                   float(loads.max()), loads, wall_ms, gap, truncations)
             except Exception as exc:  # per-run isolation, remaining runs proceed
-                failures.append(RunFailure(algorithm, seed, f"{type(exc).__name__}: {exc}"))
-    return ExperimentResult(metrics=metrics, failures=failures, training=training)
+                runs[seed, algorithm] = RunFailure(algorithm, seed, f"{type(exc).__name__}: {exc}")
+
+    _, training = _train_all(cfg, [_training_key(cfg, algorithm) for algorithm in _TRAINED
+                                   if algorithm in cfg.algorithms],
+                             lambda: [run(algorithm) for algorithm in cfg.algorithms if algorithm not in _TRAINED],
+                             lambda key, outcome: run(key[0], outcome))
+    ordered = [runs[seed, algorithm] for seed in cfg.seeds for algorithm in cfg.algorithms]
+    return ExperimentResult(*([r for r in ordered if isinstance(r, cls)] for cls in (RunMetrics, RunFailure)), training)
 
 
 def _both_trainers(attr: str):
@@ -529,10 +547,16 @@ SWEEPABLE = tuple(_SWEEPS)
 
 
 def sweep(cfg: ExperimentConfig, parameter: str, values) -> list[tuple[object, ExperimentResult]]:
-    """Run one experiment group per parameter value."""
+    """Run one experiment group per parameter value, once every value's config is built and checked."""
     if parameter not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter {parameter!r}, expected one of {SWEEPABLE}")
-    return [(value, run_experiment(_SWEEPS[parameter](cfg, value))) for value in values]
+    groups = []
+    for value in values:
+        try:
+            groups.append((value, _checked(_SWEEPS[parameter](cfg, value))))
+        except ValueError as exc:
+            raise ConfigError(f"sweep {parameter} = {value}: {exc}") from exc
+    return [(value, run_experiment(group)) for value, group in groups]
 
 
 def emit_report(result: ExperimentResult, output_dir) -> list[Path]:
@@ -597,7 +621,7 @@ def _write_summary(result: ExperimentResult, out: Path) -> Path:
                 f", {curve.global_steps} steps, {curve.global_steps / curve.wall_seconds:.0f} steps/s, "
                 f"gradients clipped: {curve.policy_clips} policy, {curve.critic_clips} critic")
             lines.append(f"  {alg} seed={seed}: {train_ms:.0f} ms{steps}")
-        where = f"{training.workers} worker processes" if training.workers else "in-process"
+        where = f"{training.workers} worker processes beside the runs" if training.workers else "in-process"
         lines.append(f"Training phase: {training.wall_ms:.0f} ms wall, {where}, "
                      f"{sum(ms for ms, _ in training.policies.values()):.0f} ms of training summed")
     if result.failures:

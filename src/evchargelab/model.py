@@ -285,6 +285,24 @@ def horizon_cost(schedule: ChargingSchedule, scenario: Scenario) -> float:
     return bill(schedule.slot_totals(), scenario.base_load, scenario.price)
 
 
+def flat_completion_bills(before: np.ndarray, after: np.ndarray, t_dep: np.ndarray, t,
+                          base_load: np.ndarray, pm: PriceModel) -> np.ndarray:
+    """The per-slot bills (..., 2, horizon) of finishing the EVs at flat rates, with the
+    arguments and parts of `flat_completion_change`; part 1 bills slots t+1..T only."""
+    # Each slot's bill is load * (k0 + k1 * load + 2 * k1 * base load).
+    horizon = base_load.shape[-1]
+    lead = before.shape[:-1]
+    slots_after = t_dep - np.asarray(t)[..., None]
+    rates = np.zeros(lead + (2, before.shape[-1]))
+    np.divide(before, slots_after + 1, out=rates[..., 0, :], where=slots_after >= 0)
+    np.divide(after, slots_after, out=rates[..., 1, :], where=slots_after > 0)
+    parts = 2 * math.prod(lead)
+    bins = t_dep[..., None, :] - 1 + horizon * np.arange(parts).reshape(lead + (2, 1))
+    load = np.bincount(bins.ravel(), rates.ravel(), parts * horizon).reshape(lead + (2, horizon))
+    load = load[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    return load * (pm.k0 + pm.k1 * load + 2.0 * pm.k1 * base_load[..., None, :])
+
+
 def flat_completion_change(before: np.ndarray, after: np.ndarray, t_dep: np.ndarray, t,
                            base_load: np.ndarray, pm: PriceModel):
     """Change across slot t in the bill of finishing the given EVs at flat rates.
@@ -294,28 +312,16 @@ def flat_completion_change(before: np.ndarray, after: np.ndarray, t_dep: np.ndar
     over its slots left, charged in every slot up to its departure. Slot t's
     own bill plus this change is the extra bill the slot's charging causes
     over finishing at flat rates, on `base_load` at the prices of `pm`.
+    Part 0 of `flat_completion_bills` holds the bills before slot t's
+    charging, part 1 those after it.
 
     With a leading row axis (the rows of a batched env), `t` holds each
     row's slot, `base_load` each row's series, an EV a row does not park in
     its slot has `before` and `after` 0, and the result holds one change
     per row.
     """
-    # Part 0 holds the flat rates and loads of each slot before slot t's
-    # charging, part 1 those after it; part 1 bills slots t+1..T only. Each
-    # slot's bill is load * (k0 + k1 * load + 2 * k1 * base load).
-    horizon = base_load.shape[-1]
-    lead = before.shape[:-1]
-    t = np.asarray(t)[..., None]
-    slots_after = t_dep - t
-    rates = np.zeros(lead + (2, before.shape[-1]))
-    np.divide(before, slots_after + 1, out=rates[..., 0, :], where=slots_after >= 0)
-    np.divide(after, slots_after, out=rates[..., 1, :], where=slots_after > 0)
-    parts = 2 * math.prod(lead)
-    bins = t_dep[..., None, :] - 1 + horizon * np.arange(parts).reshape(lead + (2, 1))
-    load = np.bincount(bins.ravel(), rates.ravel(), parts * horizon).reshape(lead + (2, horizon))
-    load = load[..., ::-1].cumsum(axis=-1)[..., ::-1]
-    cost = load * (pm.k0 + pm.k1 * load + 2.0 * pm.k1 * base_load[..., None, :])
-    slots = np.arange(1, horizon + 1)
+    cost = flat_completion_bills(before, after, t_dep, t, base_load, pm)
+    slots, t = np.arange(1, base_load.shape[-1] + 1), np.asarray(t)[..., None]
     return masked_sum(cost[..., 1, :], slots > t) - masked_sum(cost[..., 0, :], slots >= t)
 
 

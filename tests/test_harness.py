@@ -377,16 +377,24 @@ class TestConcurrentTraining:
         assert set(result.training.policies) == {("CALC", 1), ("AEM", 1)}
 
     def test_without_fork_or_with_threads_training_stays_in_process(self, monkeypatch):
-        cfg = self.cfg()
-        pooled = run_experiment(cfg)
-        with another_thread():
-            threaded = run_experiment(cfg)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        unforked = run_experiment(cfg)
-        assert pooled.training.workers == min(len(os.sched_getaffinity(0)), 3)
-        for alone in (threaded, unforked):
-            assert alone.training.workers == 0
-            assert [m.csv_row().split(",")[:4] for m in alone.metrics] == [m.csv_row().split(",")[:4] for m in pooled.metrics]
+        # The second order lists a learner first and the seeds backwards: pooled runs
+        # start as trainings return, yet every result lists its rows in this order.
+        orders = ((("EC", "OA", "AEM", "SCA", "CALC"), (1, 2)), (("CALC", "EC", "AEM", "OA", "SCA"), (2, 1)))
+        for algorithms, seeds in orders:
+            cfg = replace(self.cfg(), algorithms=algorithms, seeds=seeds)
+            pooled = run_experiment(cfg)
+            with another_thread():
+                threaded = run_experiment(cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+                unforked = run_experiment(cfg)
+            assert pooled.training.workers == min(len(os.sched_getaffinity(0)), 3)
+            assert pooled.ok and [(m.seed, m.algorithm) for m in pooled.metrics] == [
+                (seed, alg) for seed in seeds for alg in algorithms]
+            for alone in (threaded, unforked):
+                assert alone.training.workers == 0
+                assert [m.csv_row().split(",")[:4] for m in alone.metrics] == [
+                    m.csv_row().split(",")[:4] for m in pooled.metrics]
 
     def test_summary_reports_each_training_and_the_phase(self, tmp_path):
         result = run_experiment(self.cfg())
@@ -580,6 +588,21 @@ class TestCli:
             assert args.param == param
         with pytest.raises(SystemExit):
             parser.parse_args(["sweep", "--config", "x.ini", "--param", "slot_hours", "--values", "1"])
+
+    @pytest.mark.parametrize("param, values, message", ids=["discount", "aem levels", "n_evs"], argvalues=[
+        ("discount", "0.5,2", "sweep discount = 2: discount 2.0 outside (0, 1)"),
+        ("aem_levels", "9,1", "sweep aem_levels = 1: levels 1: at least 2 action levels required"),
+        ("n_evs", "2,-1", "sweep n_evs = -1: n_evs must be non-negative"),
+    ])
+    def test_refused_sweep_value_exits_two_before_any_run(self, tmp_path, capsys, monkeypatch, param, values,
+                                                          message):
+        ran = []
+        monkeypatch.setattr(harness, "run_experiment", ran.append)
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace("algorithms = EC,OA", "algorithms = EC"))
+        assert cli.main(["sweep", "--config", str(path), "--param", param, "--values", values]) == cli.EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+        assert not ran and not (tmp_path / "out").exists()
 
     def test_sweep_cli(self, tmp_path, capsys):
         path = write_config(tmp_path)
