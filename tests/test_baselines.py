@@ -19,7 +19,16 @@ from evchargelab.baselines import (
     oa_schedule,
 )
 from evchargelab.harness import benchmark_spec, build_scenario, make_sampler
-from evchargelab.model import DEFAULT_TOL, ChargingSchedule, EVArrays, horizon_cost, laxity_corridor, validate_schedule
+from evchargelab.model import (
+    DEFAULT_TOL,
+    ChargingSchedule,
+    EVArrays,
+    flat_completion_change,
+    horizon_cost,
+    laxity_corridor,
+    slot_cost,
+    validate_schedule,
+)
 from evchargelab.rl import AggregateEnv, calc_schedule, init_policy, sca_schedule
 from evchargelab.scenario import synthetic_base_load
 from evchargelab.solvers import (
@@ -363,6 +372,24 @@ class TestAemTraining:
         table = aem_train(make_sampler(benchmark_spec()), QLearnConfig(episodes=episodes, seed=seed), levels)
         assert table.half_width == (levels == 101)
         assert hashlib.sha256(table.values.tobytes() + table.visit_counts.tobytes()).hexdigest() == digest
+
+    def test_episode_rewards_match_one_kernel_call_per_step(self):
+        # The rollout bills every step's flat rates in one kernel call; each reward
+        # keeps the bits of its own step's one-row `flat_completion_change`.
+        scn = benchmark_fleets("flat")[0]
+        table = QTable(soc_bins=20, load_bins=10, levels=33, b_max=float(scn.b_max.max()))
+        rng = np.random.default_rng(5)
+        transitions = []
+        amounts = _aem_rollout(table, scn, lambda state: int(rng.integers(33)), transitions).amounts.T
+        residuals, want = scn.demand.copy(), []
+        for t, amount in enumerate(amounts, start=1):
+            rows = np.flatnonzero(scn.mask[:, t - 1] & (residuals > 1e-9))
+            residuals -= amount
+            if rows.size:
+                reward = -slot_cost(amount[amount > 0], scn.base_load[t - 1], scn.price)
+                want.append(reward - flat_completion_change(residuals[rows] + amount[rows], residuals[rows],
+                                                            scn.t_dep[rows], t, scn.base_load, scn.price))
+        assert len(want) > 10 and [reward for _, _, reward, _, _ in transitions] == want
 
     def test_schedule_uses_training_load_scale(self):
         # Bins come from the table's load scale, not the evaluated scenario's

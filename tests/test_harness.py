@@ -274,7 +274,7 @@ def slow_training(monkeypatch):
 
 class TestSharedTraining:
     def test_wall_time_excludes_only_this_calls_training(self, monkeypatch):
-        # Every policy trains before the first run, so no run's wall time
+        # Each policy trains before its first run, so no run's wall time
         # counts the 0.2 s; every run still reports its own scheduling time.
         slow_training(monkeypatch)
         result = run_experiment(fast_cfg(algorithms=("SCA", "CALC"), seeds=(1, 2, 3)))
