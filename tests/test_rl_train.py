@@ -1,5 +1,7 @@
 """Actor-critic training loop tests: updates, schedules, replay, divergence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -408,32 +410,66 @@ class TestLockstep:
 
     def test_stored_policy_schedules_unchanged(self):
         # SHA-256 of the schedules the stored benchmark policies give on benchmark fleets 1-20,
-        # as the one-scenario envs gave them before the envs took rows. The digests hold only
-        # under the BLAS that recorded them (its matrix-vector sums round in their own order),
-        # which the digest of one fixed forward pass per policy identifies.
+        # as the one-scenario envs gave them before the envs took rows.
         import hashlib
-        from pathlib import Path
 
         from evchargelab.harness import benchmark_spec, build_scenario
-        from evchargelab.rl.nets import policy_forward
-        from evchargelab.rl.serialize import load_policy
 
-        inputs = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+        skip_unless_recording_blas()
         want = {
-            "sca": (sca_schedule, "9fee8f59319c6ab48beb62946a44ee86d1a72855db7fd33564657aa63d9797aa",
-                    "1dc39d73e5bf65657dab94b5cd407fea8d74850571b8ff8d9abe650bec66f933"),
-            "calc": (calc_schedule, "8f159831312351063a8e060d6435f119a0124b7462ec5714f1024492096370c2",
-                     "e2eb2771af0f9cd649f05f456c6276a73d50edd5f63fe0eac988f42851c08f02"),
+            "sca": (sca_schedule, "1dc39d73e5bf65657dab94b5cd407fea8d74850571b8ff8d9abe650bec66f933"),
+            "calc": (calc_schedule, "e2eb2771af0f9cd649f05f456c6276a73d50edd5f63fe0eac988f42851c08f02"),
         }
-        for name, (schedule, probe, digest) in want.items():
-            policy = load_policy(inputs / f"{name}_policy.txt")
-            _, mu, _ = policy_forward(policy, np.linspace(0.0, 1.0, policy.w_hidden.shape[0]))
-            if hashlib.sha256(mu.tobytes()).hexdigest() != probe:
-                pytest.skip("this BLAS rounds the policy's forward pass differently from the one that recorded the digests")
+        for name, (schedule, digest) in want.items():
+            policy = load_policy(STORED_POLICIES / f"{name}_policy.txt")
             sha = hashlib.sha256()
             for seed in range(1, 21):
                 sha.update(schedule(policy, build_scenario(benchmark_spec(), seed)[0]).amounts.tobytes())
             assert sha.hexdigest() == digest, name
+
+    @pytest.mark.parametrize("algorithm, trainer, digest", ids=["SCA", "CALC"], argvalues=[
+        ("SCA", train_sca, "eba25d2c0a563353a2f1649b2a638cd380d78d0d6b371ba809bdc77d59dc6e7b"),
+        ("CALC", train_calc_stage1, "2a9d7a6333bac801742d040f9c1f67546527cbb7df0f1af7036f0f6f43a5dff1"),
+    ])
+    def test_trained_bits_exact_on_benchmark(self, algorithm, trainer, digest):
+        # SHA-256 of the policy and critic buffers, the episode totals and the interleaving
+        # log of a training at the train workload's budget (6k steps, the warm-up scaled
+        # with it), seed 1, as recorded when every row synced its own copy of both nets.
+        import hashlib
+        from dataclasses import replace
+
+        from evchargelab.harness import benchmark_spec, benchmark_train_config, make_sampler
+
+        skip_unless_recording_blas()
+        cfg = benchmark_train_config(algorithm)
+        cfg = replace(cfg, k_max=6_000, critic_warmup=cfg.critic_warmup * 6_000 // cfg.k_max, seed=1)
+        result = trainer(make_sampler(benchmark_spec()), cfg)
+        sha = hashlib.sha256(result.policy.flat.tobytes() + result.critic.flat.tobytes())
+        sha.update(np.array([e.total_reward for e in result.episodes]).tobytes())
+        sha.update(repr(result.interleaving).encode())
+        assert sha.hexdigest() == digest
+
+
+STORED_POLICIES = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+
+def skip_unless_recording_blas():
+    """Skip a digest test where this BLAS rounds differently from the one that recorded it.
+
+    Matrix-vector sums round in the BLAS's own order; the digest of one fixed
+    forward pass per stored benchmark policy identifies the recording one.
+    """
+    import hashlib
+
+    from evchargelab.rl.nets import policy_forward
+
+    probes = {"sca": "9fee8f59319c6ab48beb62946a44ee86d1a72855db7fd33564657aa63d9797aa",
+              "calc": "8f159831312351063a8e060d6435f119a0124b7462ec5714f1024492096370c2"}
+    for name, probe in probes.items():
+        policy = load_policy(STORED_POLICIES / f"{name}_policy.txt")
+        _, mu, _ = policy_forward(policy, np.linspace(0.0, 1.0, policy.w_hidden.shape[0]))
+        if hashlib.sha256(mu.tobytes()).hexdigest() != probe:
+            pytest.skip("this BLAS rounds the policy's forward pass differently from the one that recorded the digests")
 
 
 class _DegradingEnv:

@@ -63,6 +63,46 @@ class TestDistributions:
         assert draws.min() >= 4 and draws.max() <= 12
         assert set(np.unique(draws)) == set(range(4, 13))
 
+    def test_draws_match_generator_choice(self):
+        # Each distribution draws as `Generator.choice(..., p=...)` does, bit for bit
+        # (dtype too), and the SOC histogram then draws its uniform offsets.
+        def soc_reference(dist, rng, size):
+            bins = rng.choice(dist.bin_mass.size, size=size, p=dist.bin_mass)
+            return dist.bin_edges[bins] + rng.random(size) * (dist.bin_edges[bins + 1] - dist.bin_edges[bins])
+
+        skewed = np.array([0.0, 0.3, 1e-12, 0.2, 0.0, 0.5 - 1e-12])
+        cases = [
+            (ArrivalDistribution.evening_peak(48, 18, 1.5),
+             lambda d, rng, size: rng.choice(np.arange(1, 49), size=size, p=d.weights)),
+            (ArrivalDistribution(skewed), lambda d, rng, size: rng.choice(np.arange(1, 7), size=size, p=d.weights)),
+            (SocDistribution.midrange(), soc_reference),
+            (SocDistribution(np.linspace(0.0, 1.0, 7), skewed), soc_reference),
+            (DwellDistribution.uniform(12, 24), lambda d, rng, size: rng.choice(d.durations, size=size, p=d.weights)),
+            (DwellDistribution(np.arange(2, 8), skewed),
+             lambda d, rng, size: rng.choice(d.durations, size=size, p=d.weights)),
+        ]
+        for dist, reference in cases:
+            for seed in range(500):
+                for size in (0, 1, 40, 257):
+                    got = dist.sample(np.random.default_rng(seed), size)
+                    want = reference(dist, np.random.default_rng(seed), size)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (dist, seed, size)
+
+    def test_benchmark_fleets_bit_exact(self):
+        # SHA-256 of the benchmark's fleets for seeds 0-1999, as recorded when every
+        # distribution drew through `Generator.choice`.
+        import hashlib
+
+        from evchargelab.harness import benchmark_spec, make_sampler
+
+        sampler = make_sampler(benchmark_spec())
+        sha = hashlib.sha256()
+        for seed in range(2000):
+            scenario = sampler(seed)
+            for column in (scenario.t_arr, scenario.t_dep, scenario.demand, scenario.soc_init):
+                sha.update(column.tobytes())
+        assert sha.hexdigest() == "145c58db03055418dc8690d2b4b0acb64839816975ec5771b082a4a4235018c8"
+
 
 class TestSampleFleet:
     def test_degenerate_arrival(self):
