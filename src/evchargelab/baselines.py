@@ -37,6 +37,7 @@ in `AEM_SOC_BINS` x `AEM_LOAD_BINS` cells. The update rule:
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,9 +49,9 @@ from .model import (
     ChargingSchedule,
     Scenario,
     allocate_aggregate,
+    bills,
     flat_completion_bills,
     laxity_corridor,
-    slot_cost,
 )
 from .solvers import check_evs_can_finish, solve_rolling_step
 
@@ -150,7 +151,7 @@ class QTable:
     @property
     def half_width(self) -> int:
         """Levels on each side of the taken one that an update also moves: those within 0.05 kWh."""
-        return int(np.floor(_NEIGHBOUR_KWH / self.quantum + 1e-9))
+        return math.floor(_NEIGHBOUR_KWH / self.quantum + 1e-9)
 
     def greedy_level(self, state: int) -> int | None:
         """Best informed level of a state; None when no level is informed.
@@ -172,7 +173,7 @@ class QTable:
             level = np.arange(self.levels)
             lo, hi = np.maximum(level - h, 0), np.minimum(level + h + 1, self.levels)
             score = (sums[hi] - sums[lo]) / np.maximum(weights[hi] - weights[lo], 1)
-        return int(np.argmax(np.where(informed, score, -np.inf)))
+        return int(np.where(informed, score, -np.inf).argmax())
 
     def greedy_value(self, state: int) -> float:
         """Value of the best informed level (the initial 0 when none is)."""
@@ -245,47 +246,61 @@ def _aem_rollout(table: QTable, scenario: Scenario, pick_action, transitions: li
     total_demand = max(residuals.sum(), 1e-12)
     load_fraction = scenario.base_load / table.load_scale
     order = scenario.t_dep.argsort(kind="stable")
-    steps, residual_pairs = [], []  # per step: (state, action, slot bill, t, next_state); parked residuals
+    steps, charged = [], []  # per step: (state, action, t, next_state); the slot's total charge
+    residual_pairs = np.zeros((2, T, scenario.n_evs))  # per step: the parked residuals before and after the slot
+    state = None  # slot t's state, where the step before carried it
     for t in range(1, T + 1):
         parked = scenario.mask[:, t - 1] & (residuals > 1e-9)
-        state = table.state_index(1.0 - residuals.sum() / total_demand, load_fraction[t - 1])
-        if not parked.any():
+        n_parked = np.count_nonzero(parked)
+        if not n_parked:
+            state = None
             continue
+        if state is None:
+            state = table.state_index(1.0 - np.add.reduce(residuals) / total_demand, load_fraction[t - 1])
         action = pick_action(state)
         corridor = laxity_corridor(residuals, scenario.b_max, scenario.t_dep - t)
-        amounts = allocate_aggregate(parked, corridor, order, action * table.quantum * np.count_nonzero(parked))
+        amounts = allocate_aggregate(parked, corridor, order, action * table.quantum * n_parked)
         B[:, t - 1] = amounts
         residuals -= amounts
-        if transitions is None:
-            continue
-        residual_pairs.append(np.where(parked, (residuals + amounts, residuals), 0.0))  # before and after the slot
-        bill = slot_cost(amounts[amounts > 0], scenario.base_load[t - 1], scenario.price)
-        next_state = table.state_index(1.0 - residuals.sum() / total_demand, load_fraction[min(t, T - 1)])
-        steps.append((state, action, bill, t, next_state))
+        # Before the last slot, this is the next slot's state: the same residuals and its load bin.
+        next_state = table.state_index(1.0 - np.add.reduce(residuals) / total_demand, load_fraction[min(t, T - 1)])
+        if transitions is not None:
+            np.add(residuals, amounts, out=residual_pairs[0, len(steps)], where=parked)
+            np.copyto(residual_pairs[1, len(steps)], residuals, where=parked)
+            charged.append(np.add.reduce(amounts.compress(amounts > 0)))  # as `slot_cost` sums
+            steps.append((state, action, t, next_state))
+        state = next_state
     if steps:
-        cost = flat_completion_bills(*np.stack(residual_pairs, axis=1), scenario.t_dep, [step[3] for step in steps],
-                                     scenario.base_load, scenario.price)
-        for (state, action, bill, t, next_state), (bills_before, bills_after) in zip(steps, cost):
+        slots = np.array([step[2] for step in steps])
+        cost = flat_completion_bills(*residual_pairs[:, :len(steps)], scenario.t_dep, slots, scenario.base_load,
+                                     scenario.price)
+        slot_bills = bills(np.array(charged), scenario.base_load[slots - 1], scenario.price).tolist()
+        for (state, action, t, next_state), bill, (bills_before, bills_after) in zip(steps, slot_bills, cost):
             change = np.add.reduce(bills_after[t:]) - np.add.reduce(bills_before[t - 1:])
             transitions.append((state, action, -bill - change, next_state, t == T))
     return ChargingSchedule(B)
 
 
 def _aem_update(table: QTable, transitions, cfg: QLearnConfig) -> None:
-    """Apply one episode's transitions in order; each moves its action's band of levels."""
-    half_width = table.half_width
+    """Apply one episode's transitions in order; each moves its action's band of levels, on Python floats.
+
+    A next state's greedy value is kept until an update writes that state's row.
+    """
+    half_width, lr = table.half_width, cfg.learning_rate
+    bootstrap = {}
     for state, action, reward, next_state, done in transitions:
-        target = reward if done else reward + cfg.discount * table.greedy_value(next_state)
+        if not done and next_state not in bootstrap:
+            bootstrap[next_state] = table.greedy_value(next_state)
+        target = reward if done else reward + cfg.discount * bootstrap[next_state]
         band = slice(max(action - half_width, 0), action + half_width + 1)
-        counts = table.visit_counts[state, band] + 1
-        step = np.maximum(cfg.learning_rate, 1.0 / counts)
-        values = table.values[state, band]
-        updated = values + step * (target - values)
-        if not np.all(np.isfinite(updated)) or np.any(np.abs(updated) > _Q_CLAMP):
+        counts = [c + 1 for c in table.visit_counts[state, band].tolist()]
+        updated = [v + max(lr, 1.0 / c) * (target - v) for v, c in zip(table.values[state, band].tolist(), counts)]
+        if not all(math.isfinite(u) and abs(u) <= _Q_CLAMP for u in updated):
             warnings.warn("Q-value clamped to finite bounds; check learning rate")
             updated = np.clip(np.nan_to_num(updated), -_Q_CLAMP, _Q_CLAMP)
         table.values[state, band] = updated
         table.visit_counts[state, band] = counts
+        bootstrap.pop(state, None)
 
 
 def aem_train(scenario_sampler, cfg: QLearnConfig, levels: int) -> QTable:

@@ -441,12 +441,14 @@ def _train_all(cfg: ExperimentConfig, keys, meanwhile=lambda: None,
 
     An outcome is `_train`'s result or the exception it raised, so every run
     that needs a policy whose training failed fails with the same error. The
-    keys train side by side in forked processes, one per usable CPU, while
-    this process calls `meanwhile()` and then `ready(key, outcome)` as each
-    outcome returns. Where the platform cannot fork, where another thread
-    runs (a forked child would inherit the locks it holds), or where the
-    pool cannot start, they train one after another in this process before
-    the same calls. The phase's wall time ends when the last outcome is in.
+    keys train side by side in forked processes, one per usable CPU. Once
+    fewer trainings run than there are CPUs (at once with more CPUs than
+    keys), this process calls `meanwhile()`, then `ready(key, outcome)` for
+    each outcome back, in return order, and for each later one as it returns.
+    Where the platform cannot fork, where another thread runs (a forked child
+    would inherit the locks it holds), or where the pool cannot start, they
+    train one after another in this process before the same calls, in key
+    order. The phase's wall time ends when the last outcome is in.
     """
     import multiprocessing
     import threading
@@ -461,12 +463,18 @@ def _train_all(cfg: ExperimentConfig, keys, meanwhile=lambda: None,
         try:
             with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
                 futures = {pool.submit(_attempt, cfg, key): key for key in keys}
-                meanwhile()  # the runs never raise, so a fallback below cannot repeat them
-                for future in as_completed(futures):
+                free_after, back = max(len(keys) - cpus + 1, 0), []  # returns until a core is free; keys held
+                if not free_after:
+                    meanwhile()  # the runs never raise, so a fallback below cannot repeat them
+                for returned, future in enumerate(as_completed(futures), 1):
                     key = futures[future]
                     outcomes[key] = future.exception() or future.result()
                     wall_ms = (time.perf_counter() - t0) * 1e3
-                    ready(key, outcomes[key])
+                    back.append(key)
+                    if returned == free_after:
+                        meanwhile()
+                    while returned >= free_after and back:
+                        ready(back[0], outcomes[back.pop(0)])
         except OSError:  # no process could be started
             workers = 0
     if not workers:
@@ -500,9 +508,10 @@ def _produce_schedule(cfg: ExperimentConfig, algorithm: str, scenario: Scenario,
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Train each learner once, and run every (algorithm, seed) pair once its policy is in hand.
 
-    EC and OA run while the learners train, and each learner's runs start
-    as its training returns (`_train_all`). Metrics and failures keep the
-    order seed, then configured algorithm. A run's wall time covers its
+    The runs start once a core is free of training (`_train_all`): EC and
+    OA first, then each learner whose training is back, then each other
+    learner as its training returns. Metrics and failures keep the order
+    seed, then configured algorithm. A run's wall time covers its
     scheduling only. Failures are recorded, not raised.
     """
     drawn = {seed: build_scenario(cfg.scenario, seed) for seed in cfg.seeds}

@@ -256,14 +256,15 @@ def allocate_aggregate(live, corridor, order, budget) -> np.ndarray:
     index that lists them by departure (a stable argsort). Every parked EV
     first gets its laxity minimum; what is left of the budget then fills
     them up to their headroom, earliest departure first. With a leading row
-    axis, each row splits its own budget, and `order` indexes rows too.
+    axis, each row splits its own budget, and `order` indexes the flattened
+    rows: row * n_evs + the row's argsort.
     """
     lo, cap = corridor
     forced = np.where(live, np.minimum(lo, cap), 0.0)
     # The EVs that are not parked have no room, so they add 0 to the running sum.
-    room = np.where(live, cap - forced, 0.0)[order]
+    room = np.where(live, cap - forced, 0.0).reshape(-1)[order]
     left = np.asarray(budget - masked_sum(forced, live))[..., None]
-    forced[order] += (left - (room.cumsum(axis=-1) - room)).clip(0.0, room)
+    forced.reshape(-1)[order] += (left - (room.cumsum(axis=-1) - room)).clip(0.0, room)
     return forced
 
 

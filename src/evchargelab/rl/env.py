@@ -179,7 +179,8 @@ class AggregateEnv(_Episodes):
         super().__init__(scenario, reward_mode)
 
     def _start(self, rows):
-        self._order = (*(row[:, None] for row in self._rows), self.t_dep.argsort(axis=-1, kind="stable"))
+        self._order = np.ravel_multi_index((*(row[:, None] for row in self._rows),
+                                            self.t_dep.argsort(axis=-1, kind="stable")), self.t_dep.shape)
         self.lb_scale = np.maximum(self.base_load.max(axis=-1), 1e-9)
         # Actions are expressed in units of the mean fleet energy per slot so
         # the policy operates on O(1) values regardless of fleet size.

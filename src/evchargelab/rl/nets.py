@@ -75,7 +75,10 @@ class _FlatParams:
         return [self._like(row) for row in self.flat]
 
     def add_scaled(self, other, scale: float):
-        self.flat += scale * other.flat
+        """Add `scale` times the other parameters, through a scratch buffer kept for the next call."""
+        if "_scratch" not in self.__dict__:
+            self._scratch = np.empty_like(self.flat)
+        self.flat += np.multiply(scale, other.flat, out=self._scratch)
 
 
 class PolicyParams(_FlatParams):

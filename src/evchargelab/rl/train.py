@@ -213,8 +213,9 @@ class ParameterStore:
         self.k = 0
         self.log: list[tuple[str, int]] = []
 
-    def sync(self, worker_id: int):
-        self.log.append(("sync", worker_id))
+    def sync(self, worker_ids):
+        """Sync every worker of `worker_ids`, in order; they share one copy of the parameters."""
+        self.log.extend(("sync", worker_id) for worker_id in worker_ids)
         return self.policy.copy(), self.critic.copy(), self.k
 
     def push(self, worker_id: int, d_policy: PolicyParams, d_critic: CriticParams, steps: int) -> int:
@@ -291,6 +292,7 @@ def _run_training(env_cls, scenario_sampler, cfg: TrainConfig) -> TrainResult:
     rewards, q_cur, q_next, advantage, critic_scale = np.zeros((5, period, n))
     terminal = np.zeros((period, n), dtype=bool)
     d_policy, d_critic = policy.zeros_like((n,)), critic.zeros_like((n,))
+    pushes = list(enumerate(zip(d_policy.rows(), d_critic.rows())))  # each row's views of the window's sums
 
     episodes: list[EpisodeRecord] = []
     reward_history: list[float] = []
@@ -335,8 +337,7 @@ def _run_training(env_cls, scenario_sampler, cfg: TrainConfig) -> TrainResult:
 
     states = env.state
     while True:
-        for row in range(n):  # each row syncs, and all receive the same parameters
-            policy, synced, _ = store.sync(row)
+        policy, synced, _ = store.sync(range(n))  # every row syncs, and all receive the same parameters
         critics.sync(synced)
         # Every draw is made, and scored, under the policy synced at its window's start.
         forward, draws, actions = _act(env, policy, states, rng)
@@ -348,7 +349,7 @@ def _run_training(env_cls, scenario_sampler, cfg: TrainConfig) -> TrainResult:
             # The critic gradient's norm from its factors: |x ⊗ d_z| = |x| |d_z|.
             norm = np.sqrt((_squares(x) + 1.0) * _squares(d_z) + _squares(h) + 1.0)
             critic_scale[i] = _clip_scale(norm, gc)
-            critic_clips += int((norm > gc).sum())
+            critic_clips += np.count_nonzero(norm > gc)
 
             _, rewards[i] = env.step(actions)
             terminal[i] = env.done
@@ -384,7 +385,7 @@ def _run_training(env_cls, scenario_sampler, cfg: TrainConfig) -> TrainResult:
         weight = np.where(np.isfinite(advantage), np.clip(advantage, -gc, gc), 0.0)
         window_dz, window_dmu, window_dls = log_policy_factors(policy, window_draws, (window_h, window_mu, forward[2]))
         norm = _score_norm(window_states, window_h, window_dz, window_dmu, window_dls)
-        policy_clips += int((norm > gc).sum())
+        policy_clips += np.count_nonzero(norm > gc)
         # Each row's pushes: the weighted sums of its window's gradients, one matrix product per field.
         a_p = weight * _clip_scale(norm, gc)
         np.matmul((window_states * a_p[..., None]).transpose(1, 2, 0), window_dz.transpose(1, 0, 2),
@@ -400,8 +401,7 @@ def _run_training(env_cls, scenario_sampler, cfg: TrainConfig) -> TrainResult:
         np.einsum("wr,wrh->rh", a_c, window_hc, out=d_critic.w_value)
         np.sum(a_c, axis=0, out=d_critic._b_value)
         # The rows push in order, and the training ends at the first push past the budget.
-        if any(store.push(row, dp, dc, period) > cfg.k_max
-               for row, (dp, dc) in enumerate(zip(d_policy.rows(), d_critic.rows()))):
+        if any(store.push(row, dp, dc, period) > cfg.k_max for row, (dp, dc) in pushes):
             break
 
     return TrainResult(

@@ -18,6 +18,13 @@ EV_TYPES = {
 _MASS_TOL = 1e-9
 
 
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The normalized running mass of `Generator.choice(..., p=p)`: `searchsorted(rng.random(size),
+    side="right")` on it draws the indices that `choice` draws, bit for bit."""
+    cdf = p.cumsum()
+    return cdf / cdf[-1]
+
+
 class ScenarioError(ValueError):
     """Invalid fleet or distribution configuration."""
 
@@ -51,6 +58,7 @@ class ArrivalDistribution:
             raise ScenarioError("arrival weights must be non-empty and non-negative")
         if abs(w.sum() - 1.0) > _MASS_TOL:
             raise ScenarioError(f"arrival weights sum to {w.sum()}, expected 1")
+        object.__setattr__(self, "_cdf", _cdf(w))
 
     @classmethod
     def evening_peak(cls, horizon: int, peak_slot: int = 18, spread: float = 3.0) -> "ArrivalDistribution":
@@ -67,8 +75,7 @@ class ArrivalDistribution:
         return cls(w)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        slots = np.arange(1, self.weights.size + 1)
-        return rng.choice(slots, size=size, p=self.weights)
+        return self._cdf.searchsorted(rng.random(size), side="right") + 1
 
 
 @dataclass(frozen=True)
@@ -91,6 +98,7 @@ class SocDistribution:
             raise ScenarioError("one mass per bin required")
         if np.any(mass < 0) or abs(mass.sum() - 1.0) > _MASS_TOL:
             raise ScenarioError("SOC bin masses must be non-negative and sum to 1")
+        object.__setattr__(self, "_cdf", _cdf(mass))
 
     @classmethod
     def midrange(cls) -> "SocDistribution":
@@ -100,7 +108,7 @@ class SocDistribution:
         return cls(edges, mass)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        bins = rng.choice(self.bin_mass.size, size=size, p=self.bin_mass)
+        bins = self._cdf.searchsorted(rng.random(size), side="right")
         lo = self.bin_edges[bins]
         hi = self.bin_edges[bins + 1]
         return lo + rng.random(size) * (hi - lo)
@@ -122,6 +130,7 @@ class DwellDistribution:
             raise ScenarioError("dwell durations must be positive slot counts")
         if w.shape != d.shape or np.any(w < 0) or abs(w.sum() - 1.0) > _MASS_TOL:
             raise ScenarioError("dwell weights must match durations and sum to 1")
+        object.__setattr__(self, "_cdf", _cdf(w))
 
     @classmethod
     def uniform(cls, lo: int = 4, hi: int = 12) -> "DwellDistribution":
@@ -129,7 +138,7 @@ class DwellDistribution:
         return cls(d, np.full(d.size, 1.0 / d.size))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.choice(self.durations, size=size, p=self.weights)
+        return self.durations[self._cdf.searchsorted(rng.random(size), side="right")]
 
 
 @dataclass(frozen=True)

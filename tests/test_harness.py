@@ -396,6 +396,43 @@ class TestConcurrentTraining:
                 assert [m.csv_row().split(",")[:4] for m in alone.metrics] == [
                     m.csv_row().split(",")[:4] for m in pooled.metrics]
 
+    @pytest.mark.parametrize("cpus, calls", ids=["4-cpus", "2-cpus"], argvalues=[
+        (4, ["meanwhile", "returned", "ready", "returned", "ready", "returned", "ready"]),
+        (2, ["returned", "returned", "meanwhile", "ready", "ready", "returned", "ready"]),
+    ])
+    def test_runs_wait_for_a_core_that_no_training_holds(self, monkeypatch, cpus, calls):
+        # The runs start once fewer trainings are still running than there are CPUs: with
+        # more CPUs than trainings at once, with 2 CPUs and 3 trainings after the second return.
+        import concurrent.futures
+
+        events = []
+        completed = concurrent.futures.as_completed
+
+        def recording_as_completed(futures):
+            for future in completed(futures):
+                events.append("returned")
+                yield future
+
+        def train_all():
+            events.clear()
+            _, training = harness._train_all(self.cfg(), self.KEYS, lambda: events.append("meanwhile"),
+                                             lambda key, outcome: events.append(("ready", key)))
+            return training
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(concurrent.futures, "as_completed", recording_as_completed)
+        assert train_all().workers == min(cpus, 3)
+        assert [event if isinstance(event, str) else event[0] for event in events] == calls
+        assert sorted(event[1] for event in events if event[0] == "ready") == sorted(self.KEYS)
+        cfg = replace(self.cfg(), algorithms=("CALC", "EC", "AEM", "OA", "SCA"), seeds=(2, 1))
+        result = run_experiment(cfg)
+        assert result.ok and [(m.seed, m.algorithm) for m in result.metrics] == [
+            (seed, alg) for seed in cfg.seeds for alg in cfg.algorithms]
+        # The in-process fallback trains every key first, then makes the calls in key order.
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert train_all().workers == 0
+        assert events == ["meanwhile"] + [("ready", key) for key in self.KEYS]
+
     def test_summary_reports_each_training_and_the_phase(self, tmp_path):
         result = run_experiment(self.cfg())
         emit_report(result, tmp_path)

@@ -377,9 +377,9 @@ class TestLockstep:
             events.append(("draw", params.copy(), states.copy(), draws.copy()))
             return draws
 
-        def record_sync(store, worker_id):
+        def record_sync(store, worker_ids):  # once per window, for every row
             events.append(("sync", store.policy.copy()))
-            return sync(store, worker_id)
+            return sync(store, worker_ids)
 
         def record_push(store, worker_id, d_policy, d_critic, steps):
             events.append(("push", worker_id, d_policy.flat.copy()))
