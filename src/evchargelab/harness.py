@@ -463,7 +463,7 @@ def _train_all(cfg: ExperimentConfig, keys, meanwhile=lambda: None,
         try:
             with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
                 futures = {pool.submit(_attempt, cfg, key): key for key in keys}
-                free_after, back = max(len(keys) - cpus + 1, 0), []  # returns until a core is free; keys held
+                free_after, back = max(len(keys) - cpus + 1, 0), []  # returns until a core is free; keys not yet ready
                 if not free_after:
                     meanwhile()  # the runs never raise, so a fallback below cannot repeat them
                 for returned, future in enumerate(as_completed(futures), 1):
