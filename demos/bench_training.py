@@ -12,6 +12,11 @@ worker processes as CPUs, and all five algorithms on benchmark fleets 1-5.
 Run from the repository root with:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 demos/bench_training.py --out BENCH_training.json
+
+One run per tree cannot resolve a change under about 15 %: on a 2-core
+machine the same training code read 7 % and 12 % apart in two runs back to
+back. To compare two trees, run them in alternating runs and compare the
+medians.
 """
 
 from __future__ import annotations

@@ -410,11 +410,9 @@ def _train(cfg: ExperimentConfig, algorithm: str, seed: int):
     elif algorithm == "CALC":
         result = train_calc_stage1(sampler, replace(cfg.calc, seed=seed))
         artifact = result.policy
-    elif algorithm == "AEM":
+    else:  # AEM; callers pass only the algorithms in _TRAINED
         artifact = baselines.aem_train(sampler, cfg.aem.qlearn(seed), cfg.aem.levels)
         result = None
-    else:
-        raise ValueError(f"{algorithm} needs no training")
     return artifact, result, (time.perf_counter() - t0) * 1e3
 
 
@@ -559,6 +557,8 @@ def sweep(cfg: ExperimentConfig, parameter: str, values) -> list[tuple[object, E
     """Run one experiment group per parameter value, once every value's config is built and checked."""
     if parameter not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter {parameter!r}, expected one of {SWEEPABLE}")
+    if not values:
+        raise ConfigError(f"sweep {parameter}: no values given")
     groups = []
     for value in values:
         try:

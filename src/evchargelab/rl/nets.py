@@ -7,8 +7,8 @@ mapping the concatenated (state, action) vector to a scalar value.
 
 Each network's parameters live in one flat buffer, `flat`, and every field
 is a view of it, so a copy, a zero, a scaled add or a rescale of all the
-parameters is one NumPy operation. The gradients are written into such a
-buffer in place.
+parameters is one NumPy operation. A gradient comes as parameters of the
+same shape.
 
 Rows: the functions take states and actions with a leading row axis and
 then answer for each row; a buffer with a leading row axis holds one set
@@ -183,17 +183,16 @@ def log_policy_factors(params: PolicyParams, action: np.ndarray, forward):
     return d_z, d_mu, d_log_sigma
 
 
-def log_policy_gradient(params: PolicyParams, state: np.ndarray, action: np.ndarray, forward=None,
-                        out: PolicyParams | None = None) -> PolicyParams:
+def log_policy_gradient(params: PolicyParams, state: np.ndarray, action: np.ndarray, forward=None) -> PolicyParams:
     """Exact gradient of ln pi(action | state) with respect to all parameters.
 
-    `forward` is `policy_forward(params, state)` where the caller has it; the
-    gradient is written into `out` where given, else into new parameters
-    (stacked, one gradient per row, for states with a row axis).
+    `forward` is `policy_forward(params, state)` where the caller has it. The
+    gradient comes as new parameters (stacked, one gradient per row, for
+    states with a row axis).
     """
     forward = policy_forward(params, state) if forward is None else forward
     d_z, d_mu, d_log_sigma = log_policy_factors(params, action, forward)
-    grads = params.zeros_like(np.shape(state)[:-1]) if out is None else out
+    grads = params.zeros_like(np.shape(state)[:-1])
     np.multiply(state[..., :, None], d_z[..., None, :], out=grads.w_hidden)
     grads.b_hidden[...] = d_z
     np.multiply(forward[0][..., :, None], d_mu[..., None, :], out=grads.w_mu)
@@ -202,14 +201,14 @@ def log_policy_gradient(params: PolicyParams, state: np.ndarray, action: np.ndar
     return grads
 
 
-def critic_factors(params: CriticParams, state: np.ndarray, action: np.ndarray, h_out=None):
+def critic_factors(params: CriticParams, state: np.ndarray, action: np.ndarray):
     """Q and the factors of its gradient: (q, x, h, d_z), x being the concatenated input.
 
     The gradient is x ⊗ d_z for `w_hidden`, d_z for `b_hidden`, h for
-    `w_value` and 1 for `b_value`. The features go to `h_out` where given.
+    `w_value` and 1 for `b_value`.
     """
     x = np.concatenate((state, action), axis=-1)
-    h = np.maximum(x @ params.w_hidden + params.b_hidden, 0.0, out=h_out)
+    h = np.maximum(x @ params.w_hidden + params.b_hidden, 0.0)
     return h @ params.w_value + params._b_value, x, h, params.w_value * (h > 0)
 
 
@@ -219,14 +218,12 @@ def critic_value(params: CriticParams, state: np.ndarray, action: np.ndarray):
     return float(q) if q.ndim == 0 else q
 
 
-def critic_gradient(params: CriticParams, state: np.ndarray, action: np.ndarray, out: CriticParams | None = None):
-    """Return (Q, gradient of Q w.r.t. all critic parameters), one per row for inputs with a row axis.
-
-    The gradient is written into `out` where given, else into new parameters.
-    """
-    grads = params.zeros_like(np.shape(state)[:-1]) if out is None else out
-    q, x, h, d_z = critic_factors(params, state, action, h_out=grads.w_value)
+def critic_gradient(params: CriticParams, state: np.ndarray, action: np.ndarray):
+    """Return (Q, gradient of Q w.r.t. all critic parameters), one per row for inputs with a row axis."""
+    grads = params.zeros_like(np.shape(state)[:-1])
+    q, x, h, d_z = critic_factors(params, state, action)
     np.multiply(x[..., :, None], d_z[..., None, :], out=grads.w_hidden)
     grads.b_hidden[...] = d_z
+    grads.w_value[...] = h
     grads._b_value[...] = 1.0
     return (float(q) if q.ndim == 0 else q), grads

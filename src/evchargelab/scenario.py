@@ -192,21 +192,21 @@ def sample_fleet(cfg: FleetConfig, seed: int) -> FleetSample:
 
 
 def load_base_series(path, expected_horizon: int) -> np.ndarray:
-    """Read a base-load file: one non-negative decimal per line, one per slot."""
-    lines = Path(path).read_text().split()
+    """Read a base-load file: one non-negative decimal per line, one per slot; blank lines are skipped."""
+    lines = [(n, line.strip()) for n, line in enumerate(Path(path).read_text().splitlines(), 1) if line.strip()]
     values = []
-    for i, token in enumerate(lines):
+    for n, token in lines:
         try:
             values.append(float(token))
         except ValueError as exc:
-            raise BaseLoadParseError(f"line {i + 1}: cannot parse {token!r}") from exc
+            raise BaseLoadParseError(f"line {n}: cannot parse {token!r}") from exc
     if len(values) != expected_horizon:
         raise BaseLoadLengthError(f"expected {expected_horizon} entries, found {len(values)}")
     series = np.array(values)
     bad = ~((series >= 0) & np.isfinite(series))
     if bad.any():
         i = int(bad.argmax())
-        raise BaseLoadValueError(f"base load {series[i]} at line {i + 1} is not finite and non-negative")
+        raise BaseLoadValueError(f"base load {series[i]} at line {lines[i][0]} is not finite and non-negative")
     return series
 
 

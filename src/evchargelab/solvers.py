@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DEFAULT_TOL, ChargingSchedule, Scenario, bill, validate_schedule
-from .projections import _row_shifts
 
 _ACTIVE_TOL = 1e-9  # kWh: an amount above it charges, one below b_max by more has room
 
@@ -230,6 +229,31 @@ def _least_bill(ids, upper, demands, window: range, scenario: Scenario):
     if pm.k1 == 0.0:
         return _max_flow(demands, upper, np.minimum(scenario.load_cap - base, upper.sum(axis=0)))[3], 1
     return _decompose(upper, demands, base + pm.k0 / (2.0 * pm.k1), np.full(len(window), np.inf))
+
+
+def _row_shifts(V: np.ndarray, U: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Per-row tau with sum(clip(V - tau, 0, U)) = total, for 0 <= total <= sum(U).
+
+    The sum is piecewise linear in tau with breakpoints at V and V - U, so tau
+    is found exactly by sorting the breakpoints and interpolating on the
+    segment that brackets the total (Kiwiel 2008); all rows are solved at once.
+    """
+    n, m = V.shape
+    rows = np.arange(n)
+    points = np.concatenate([V, V - U], axis=1)
+    order = np.argsort(-points, axis=1, kind="stable")
+    points = points[rows[:, None], order]
+    # Entries active (strictly between their two breakpoints) just below each
+    # point: an entry enters at its upper breakpoint v and leaves at v - u.
+    active = np.where(order < m, 1.0, -1.0).cumsum(axis=1)
+    sums = np.zeros((n, 2 * m))
+    sums[:, 1:] = np.cumsum(active[:, :-1] * (points[:, :-1] - points[:, 1:]), axis=1)
+    k = np.clip((sums < totals[:, None]).sum(axis=1), 1, 2 * m - 1)
+    below = k - 1
+    slope = np.maximum(active[rows, below], 1.0)
+    tau = points[rows, below] - (totals - sums[rows, below]) / slope
+    tau = np.where(totals <= 0.0, points[:, 0], tau)
+    return np.where(totals >= sums[:, -1], points[:, -1], tau)
 
 
 def _decompose(upper, demands, c, cap_room):

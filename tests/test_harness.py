@@ -626,10 +626,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             parser.parse_args(["sweep", "--config", "x.ini", "--param", "slot_hours", "--values", "1"])
 
-    @pytest.mark.parametrize("param, values, message", ids=["discount", "aem levels", "n_evs"], argvalues=[
+    @pytest.mark.parametrize("param, values, message", ids=["discount", "aem levels", "n_evs", "no values"],
+                             argvalues=[
         ("discount", "0.5,2", "sweep discount = 2: discount 2.0 outside (0, 1)"),
         ("aem_levels", "9,1", "sweep aem_levels = 1: levels 1: at least 2 action levels required"),
         ("n_evs", "2,-1", "sweep n_evs = -1: n_evs must be non-negative"),
+        ("n_evs", ",", "sweep n_evs: no values given"),
     ])
     def test_refused_sweep_value_exits_two_before_any_run(self, tmp_path, capsys, monkeypatch, param, values,
                                                           message):

@@ -284,30 +284,31 @@ class TestFlatKernelsMatchPerArrayReferences:
     DIMS = ((41, 40, 200), (2, 1, 200), (3, 2, 5))
 
     def test_policy_gradient_with_reused_forward_and_buffer(self, rng):
+        # The gradient's fields are views of its flat buffer, and a reused forward pass gives its bits.
         for state_dim, action_dim, hidden in self.DIMS:
-            out = None
             for _ in range(20):
                 policy, _, state = random_case(rng, state_dim, action_dim, hidden)
                 forward = policy_forward(policy, state)
                 action = policy_draw(policy, state, rng, forward)
                 action[rng.integers(action_dim)] = -0.0
-                out = log_policy_gradient(policy, state, action, forward, out=out)
+                grads = log_policy_gradient(policy, state, action, forward)
                 want = reference_policy_gradient(policy, state, action)
-                assert all(same_bits(a, b) for a, b in zip(out.arrays(), want))
+                assert all(same_bits(a, b) for a, b in zip(grads.arrays(), want))
+                assert all(np.shares_memory(a, grads.flat) for a in grads.arrays())
                 fresh = log_policy_gradient(policy, state, action)
-                assert same_bits(fresh.flat, out.flat)
+                assert same_bits(fresh.flat, grads.flat)
 
     def test_critic_gradient_into_a_buffer(self, rng):
         for state_dim, action_dim, hidden in self.DIMS:
-            out = None
             for _ in range(20):
                 _, critic, state = random_case(rng, state_dim, action_dim, hidden)
                 action = np.clip(rng.normal(size=action_dim), 0.0, None)
-                q, out = critic_gradient(critic, state, action, out=out)
+                q, grads = critic_gradient(critic, state, action)
                 want_q, want, want_b = reference_critic_gradient(critic, state, action)
                 assert q == want_q and q == critic_value(critic, state, action)
-                assert all(same_bits(a, b) for a, b in zip(out.arrays(), want))
-                assert out.b_value == want_b
+                assert all(same_bits(a, b) for a, b in zip(grads.arrays(), want))
+                assert all(np.shares_memory(a, grads.flat) for a in grads.arrays())
+                assert grads.b_value == want_b
 
     def test_score_norms_from_rank1_factors(self, rng):
         # |x ⊗ d| = |x| |d|: the norms the training clips by, without writing the outer products out.

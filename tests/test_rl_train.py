@@ -17,9 +17,7 @@ from evchargelab.rl.nets import (
 )
 from evchargelab.rl.serialize import (
     config_hash,
-    load_critic,
     load_policy,
-    save_critic,
     save_policy,
 )
 from evchargelab.rl.train import (
@@ -545,21 +543,12 @@ class TestSerialization:
         for a, b in zip(params.arrays(), loaded.arrays()):
             np.testing.assert_array_equal(a, b)
 
-    def test_critic_roundtrip(self, tmp_path, rng):
-        params = init_critic(5, rng, hidden=7)
-        params.b_value = 0.123456789
-        path = tmp_path / "critic.txt"
-        save_critic(params, path)
-        loaded = load_critic(path)
-        for a, b in zip(params.arrays(), loaded.arrays()):
-            np.testing.assert_array_equal(a, b)
-        assert loaded.b_value == params.b_value
-
     def test_kind_mismatch_rejected(self, tmp_path, rng):
         path = tmp_path / "p.txt"
         save_policy(init_policy(2, 1, rng, hidden=3), path)
-        with pytest.raises(ValueError):
-            load_critic(path)
+        path.write_text(path.read_text().replace("kind=policy\n", "kind=critic\n", 1))
+        with pytest.raises(ValueError, match="expected kind policy, found critic"):
+            load_policy(path)
 
     def test_header_versioned(self, tmp_path, rng):
         path = tmp_path / "p.txt"

@@ -229,6 +229,23 @@ class TestBaseLoad:
         with pytest.raises(BaseLoadParseError):
             load_base_series(path, 2)
 
+    def test_errors_name_the_files_own_line(self, tmp_path):
+        path = tmp_path / "blank.txt"
+        path.write_text("1.0\n\n2.0\nx\n")
+        with pytest.raises(BaseLoadParseError, match="line 4: cannot parse 'x'"):
+            load_base_series(path, 3)
+        path.write_text("1.0\n\n-2.0\n")
+        with pytest.raises(BaseLoadValueError, match="at line 3 "):
+            load_base_series(path, 2)
+        path.write_text("\n1.0\n\n2.0\n\n")
+        assert load_base_series(path, 2).tolist() == [1.0, 2.0]
+
+    def test_two_values_on_one_line_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "two.txt"
+        path.write_text("1.0 2.0\n")
+        with pytest.raises(BaseLoadParseError, match="line 1: cannot parse '1.0 2.0'"):
+            load_base_series(path, 2)
+
     def test_synthetic_profile_shape(self):
         series = synthetic_base_load(48, low=20.0, high=45.0, peak_slot=20)
         assert series.shape == (48,)
