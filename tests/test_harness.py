@@ -626,8 +626,7 @@ class TestCli:
         with pytest.raises(SystemExit):
             parser.parse_args(["sweep", "--config", "x.ini", "--param", "slot_hours", "--values", "1"])
 
-    @pytest.mark.parametrize("param, values, message", ids=["discount", "aem levels", "n_evs", "no values"],
-                             argvalues=[
+    @pytest.mark.parametrize("param, values, message", ids=["discount", "aem levels", "n_evs", "empty"], argvalues=[
         ("discount", "0.5,2", "sweep discount = 2: discount 2.0 outside (0, 1)"),
         ("aem_levels", "9,1", "sweep aem_levels = 1: levels 1: at least 2 action levels required"),
         ("n_evs", "2,-1", "sweep n_evs = -1: n_evs must be non-negative"),

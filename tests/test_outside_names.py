@@ -66,5 +66,5 @@ def test_the_product_does_not_load_projections():
     # Only the benchmark and the tests use `projections`; the product's solvers own the kernel it wraps.
     code = ("import sys, evchargelab, evchargelab.harness, evchargelab.rl, evchargelab.cli; "
             "sys.exit('evchargelab.projections' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(Path(importlib.import_module("evchargelab").__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
