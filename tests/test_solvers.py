@@ -24,6 +24,7 @@ from evchargelab.scenario import synthetic_base_load
 from evchargelab.solvers import (
     InfeasibleScenarioError,
     SolverError,
+    _decompose,
     _max_flow,
     kkt_residual,
     project_allocation,
@@ -375,6 +376,28 @@ def assert_max_flow_matches_networkx(mask, b_max, demands, caps):
     assert cut == pytest.approx(flow, abs=1e-9)
 
 
+def test_decompose_reads_a_fortran_ordered_upper_bit_for_bit():
+    # The blocks' column sums must not depend on how the caller laid out `upper`: a
+    # Fortran-ordered (n, T) array sums its columns pairwise, a C-ordered one row by
+    # row, and on a few of these draws the two roundings would move the schedule.
+    rng = np.random.default_rng(0)
+    cut = 0
+    for _ in range(400):
+        n, horizon = int(rng.integers(9, 40)), int(rng.integers(3, 20))
+        t_arr = rng.integers(0, horizon, n)
+        t_dep = np.minimum(horizon - 1, t_arr + rng.integers(0, horizon, n))
+        slots = np.arange(horizon)
+        parked = (t_arr[:, None] <= slots) & (slots <= t_dep[:, None])
+        upper = np.where(parked, np.round(rng.uniform(1.0, 8.0, n), 1)[:, None], 0.0)
+        demands = upper.sum(axis=1) * rng.uniform(0.1, 1.0, n)
+        c, cap_room = np.round(rng.uniform(0.0, 3.0, horizon), 1), np.full(horizon, np.inf)
+        X, flows = _decompose(upper, demands, c, cap_room)
+        X_f, flows_f = _decompose(np.asfortranarray(upper), demands, c, cap_room)
+        assert X_f.tobytes() == X.tobytes() and flows_f == flows
+        cut += flows > 1
+    assert cut > 100
+
+
 class TestCapFeasibility:
     def test_flow_matches_networkx(self):
         rng = np.random.default_rng(11)
@@ -646,6 +669,26 @@ class TestProjectAllocation:
         schedule = calc_schedule(policy, replace(scn, load_cap=factor * peak),
                                  reward_mode=benchmark_train_config("CALC").reward_mode)
         assert hashlib.sha256(schedule.amounts.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("capped, digest", ids=["uncapped", "1.02"], argvalues=[
+        (False, "2c539f19622ebc196c4630fcd944ef23f2a3bd2293b030ade67fa0e431ddb014"),
+        (True, "022fc0c3927e9dcfc53972451ccf9a95647cb181776fa5e62eeb505f80d5384d"),
+    ])
+    def test_split_bit_exact_on_benchmark_fleets(self, capped, digest):
+        # SHA-256 of the splits of benchmark fleets 1-20 toward each fleet's EC slot totals
+        # rolled by 3 slots, uncapped and under a cap of 1.02x the oracle's peak. No
+        # schedule meets that target, so every split runs the decomposition; no policy
+        # forward pass makes the target, so the digest holds under any BLAS.
+        sha = hashlib.sha256()
+        for seed in range(1, 21):
+            scn = build_scenario(benchmark_spec(), seed)[0]
+            if capped:
+                peak = float((solve_offline(scn).schedule.slot_totals() + scn.base_load).max())
+                scn = replace(scn, load_cap=1.02 * peak)
+            res = project_allocation(np.roll(ec_schedule(scn).slot_totals(), 3), scn)
+            assert res.distance > 0.0
+            sha.update(res.schedule.amounts.tobytes())
+        assert sha.hexdigest() == digest
 
     def test_low_block_takes_cap_room_net_of_full_rate_load(self):
         # EVs 0 and 2 must charge 5 kWh in slot 2, which leaves EV 1 only
