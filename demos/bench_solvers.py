@@ -10,18 +10,31 @@ flat base load is the least achievable peak (`split_capped`). It writes
 and fastest CPU ms per fleet over `--repeats` passes, OA's re-solve count,
 and the `_max_flow` calls with their CPU µs per call. The counts come from
 `--repeats` extra passes with counting wrappers, which are not timed; the µs
-per call is that of the fastest of them. Run from the repository root with:
+per call is that of the fastest of them.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 demos/bench_solvers.py --out BENCH_solvers.json
+Passes run back to back land in the same phase of a busy machine, so two
+files written one after the other can differ by 2x for the same code.
+`--against DIR` compares two trees in one process instead: it imports
+DIR/src/evchargelab under a second package name and, for every operation
+and fleet, alternates the two versions call by call, taking the fastest of
+`--repeats` calls on each side. The `race` block holds the ms per fleet of
+each side, their ratio (`speedup`, DIR's time over this tree's), the fleets
+on which this tree was faster, and whether every output's bytes matched.
+Run from the repository root with:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 demos/bench_solvers.py --out BENCH_solvers.json [--against DIR]
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import platform
 import statistics
 import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -35,9 +48,10 @@ from evchargelab.scenario import synthetic_base_load
 CALC_POLICY = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "calc_policy.txt"
 
 
-def _commit() -> str:
+def _commit(cwd=None) -> str:
     try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty"], capture_output=True, text=True, check=True)
+        out = subprocess.run(["git", "describe", "--always", "--dirty"], capture_output=True, text=True, check=True,
+                             cwd=cwd)
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
     return out.stdout.strip()
@@ -77,33 +91,81 @@ def _counts(run, inputs, passes) -> dict:
             "max_flow_us_per_call": round(1e6 * fastest, 2)}
 
 
+def _load_tree(root):
+    """The solvers, baselines and harness of the evchargelab package under root/src, imported as
+    the package `evchargelab_against`; its relative imports resolve inside that copy."""
+    name, package = "evchargelab_against", Path(root).resolve() / "src" / "evchargelab"
+    spec = importlib.util.spec_from_file_location(name, package / "__init__.py",
+                                                  submodule_search_locations=[str(package)])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    return {sub: importlib.import_module(f"{name}.{sub}") for sub in ("solvers", "baselines", "harness")}
+
+
+def _amounts(output):
+    """The schedule's amounts of an OA, oracle or split output."""
+    return getattr(output, "schedule", output).amounts
+
+
+def _race(sides, repeats) -> dict:
+    """Fastest CPU ms of `repeats` calls per input on each side, alternating the sides call by call.
+
+    sides holds (run, inputs) for this tree first and the other tree second,
+    with the same inputs in the same order.
+    """
+    (run, inputs), (other_run, other_inputs) = sides
+    fastest = [[float("inf")] * len(inputs) for _ in range(2)]
+    same = True
+    for k, pair in enumerate(zip(inputs, other_inputs)):
+        outputs = [None, None]
+        for r in range(repeats):
+            for side in (0, 1) if r % 2 == 0 else (1, 0):
+                fn = (run, other_run)[side]
+                t0 = time.process_time()
+                outputs[side] = fn(pair[side])
+                fastest[side][k] = min(fastest[side][k], 1e3 * (time.process_time() - t0))
+        same = same and _amounts(outputs[0]).tobytes() == _amounts(outputs[1]).tobytes()
+    ours, theirs = (sum(times) / len(times) for times in fastest)
+    return {"ms_per_fleet": round(ours, 3), "against_ms_per_fleet": round(theirs, 3),
+            "speedup": round(theirs / ours, 3), "faster_fleets": sum(a < b for a, b in zip(*fastest)),
+            "fleets": len(inputs), "same_bytes": same}
+
+
+def _runs(solvers, baselines, flat, targets, caps) -> dict:
+    """Per base load, the (name, run, inputs) of each operation of one tree's solvers and baselines
+    on its own scenarios of the flat benchmark fleets, the CALC targets and the split's load caps."""
+    synthetic = [replace(sc, base_load=synthetic_base_load(sc.horizon)) for sc in flat]
+    capped = [replace(sc, load_cap=cap) for sc, cap in zip(flat, caps)]
+
+    def split(pair):
+        return solvers.project_allocation(pair[1], pair[0])
+
+    return {"flat": [("OA", baselines.oa_schedule, flat), ("oracle", solvers.solve_offline, flat),
+                     ("split", split, list(zip(flat, targets))), ("split_capped", split, list(zip(capped, targets)))],
+            "synthetic": [("OA", baselines.oa_schedule, synthetic), ("oracle", solvers.solve_offline, synthetic)]}
+
+
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fleets", type=int, default=20, help="benchmark fleets 1..N (default 20)")
     parser.add_argument("--repeats", type=int, default=5, help="timed passes over the fleets (default 5)")
     parser.add_argument("--out", default="BENCH_solvers.json", help="output file")
     parser.add_argument("--commit", default=None, help="commit to record (default: git describe --always --dirty)")
+    parser.add_argument("--against", default=None, metavar="DIR",
+                        help="race this tree against the checkout in DIR, call by call (writes a race block)")
     args = parser.parse_args(argv)
 
-    flat = [build_scenario(benchmark_spec(), seed)[0] for seed in range(1, args.fleets + 1)]
-    base_loads = {"flat": flat,
-                  "synthetic": [replace(sc, base_load=synthetic_base_load(sc.horizon)) for sc in flat]}
+    seeds = range(1, args.fleets + 1)
+    flat = [build_scenario(benchmark_spec(), seed)[0] for seed in seeds]
     report = {"bench": "solvers", "commit": args.commit or _commit(), "fleets": args.fleets,
               "repeats": args.repeats, "python": platform.python_version(), "base_loads": {}}
     calc = load_policy(CALC_POLICY)
     targets = [calc_aggregate_series(calc, sc) for sc in flat]
-    capped = [replace(sc, load_cap=1.02 * float((solvers.solve_offline(sc).schedule.slot_totals() + sc.base_load).max()))
-              for sc in flat]
-
-    def split(pair):
-        return solvers.project_allocation(pair[1], pair[0])
-
-    for load, fleets in base_loads.items():
-        runs = [("OA", baselines.oa_schedule, fleets), ("oracle", solvers.solve_offline, fleets)]
-        if load == "flat":
-            runs += [("split", split, list(zip(flat, targets))), ("split_capped", split, list(zip(capped, targets)))]
+    caps = [1.02 * float((solvers.solve_offline(sc).schedule.slot_totals() + sc.base_load).max()) for sc in flat]
+    runs = _runs(solvers, baselines, flat, targets, caps)
+    for load, load_runs in runs.items():
         results = {}
-        for name, run, inputs in runs:
+        for name, run, inputs in load_runs:
             passes = []
             for _ in range(args.repeats):
                 t0 = time.process_time()
@@ -115,6 +177,14 @@ def main(argv=None) -> dict:
             if name != "OA":  # only OA re-solves
                 del results[name]["resolves"]
         report["base_loads"][load] = results
+    if args.against:
+        other = _load_tree(args.against)
+        other_flat = [other["harness"].build_scenario(other["harness"].benchmark_spec(), seed)[0] for seed in seeds]
+        other_runs = _runs(other["solvers"], other["baselines"], other_flat, targets, caps)
+        report["race"] = {"against": args.against, "against_commit": _commit(args.against), "base_loads": {
+            load: {name: _race([(run, inputs), (other_run, other_inputs)], args.repeats)
+                   for (name, run, inputs), (_, other_run, other_inputs) in zip(runs[load], other_runs[load])}
+            for load in runs}}
     text = json.dumps(report, indent=2)
     with open(args.out, "w") as fh:
         fh.write(text + "\n")

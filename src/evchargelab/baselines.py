@@ -91,23 +91,26 @@ def oa_schedule(scenario: Scenario) -> ChargingSchedule:
     cost by rounding only. Among tied optimal splits, the per-EV rows are
     those of the re-solve that made the plan.
     """
-    B = np.zeros((scenario.n_evs, scenario.horizon))
+    # Slot-major: row t - 1 of B, of `parked` and of a plan's `amounts` is slot t.
+    B = np.zeros((scenario.horizon, scenario.n_evs))
     residuals = scenario.demand.copy()
+    arrivals, parked = set(scenario.t_arr.tolist()), scenario.mask.T
     plan = None
     for t in range(1, scenario.horizon + 1):
-        active = scenario.mask[:, t - 1] & (residuals > DEFAULT_TOL)
+        active = parked[t - 1] & (residuals > DEFAULT_TOL)
         if not active.any():
             plan = None
             continue
-        if plan is None or t not in plan.window or np.any(scenario.t_arr == t):
+        if plan is None or t > last or t in arrivals:
             plan_rows = np.flatnonzero(active)
             plan = solve_rolling_step(scenario, t, dict(zip(scenario.ids[plan_rows].tolist(), residuals[plan_rows])))
+            start, last, amounts = t, plan.window[-1], plan.amounts.T
         keep = active[plan_rows]
         rows = plan_rows[keep]
-        committed = np.minimum(plan.amounts[keep, t - plan.window.start], residuals[rows])
-        B[rows, t - 1] = committed
+        committed = np.minimum(amounts[t - start][keep], residuals[rows])
+        B[t - 1, rows] = committed
         residuals[rows] -= committed
-    return ChargingSchedule(B)
+    return ChargingSchedule(B.T.copy())
 
 
 @dataclass

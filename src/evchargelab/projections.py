@@ -1,15 +1,35 @@
 """Euclidean projections onto box-constrained sum sets.
 
 The workhorse is the projection onto {x : 0 <= x <= upper, sum(x) = total},
-which is clip(v - tau, 0, upper) for the shift tau that meets the total;
-`solvers._row_shifts` finds tau for all rows at once.
+which is clip(v - tau, 0, upper) for the shift tau that meets the total.
+The sum is piecewise linear in tau with breakpoints at v and v - upper, so
+tau is found exactly by sorting the breakpoints and interpolating on the
+segment that brackets the total (Kiwiel 2008); all rows are solved at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .solvers import _row_shifts
+
+def _row_shifts(V: np.ndarray, U: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Per-row tau with sum(clip(V - tau, 0, U)) = total, for 0 <= total <= sum(U)."""
+    n, m = V.shape
+    rows = np.arange(n)
+    points = np.concatenate([V, V - U], axis=1)
+    order = np.argsort(-points, axis=1, kind="stable")
+    points = points[rows[:, None], order]
+    # Entries active (strictly between their two breakpoints) just below each
+    # point: an entry enters at its upper breakpoint v and leaves at v - u.
+    active = np.where(order < m, 1.0, -1.0).cumsum(axis=1)
+    sums = np.zeros((n, 2 * m))
+    sums[:, 1:] = np.cumsum(active[:, :-1] * (points[:, :-1] - points[:, 1:]), axis=1)
+    k = np.clip((sums < totals[:, None]).sum(axis=1), 1, 2 * m - 1)
+    below = k - 1
+    slope = np.maximum(active[rows, below], 1.0)
+    tau = points[rows, below] - (totals - sums[rows, below]) / slope
+    tau = np.where(totals <= 0.0, points[:, 0], tau)
+    return np.where(totals >= sums[:, -1], points[:, -1], tau)
 
 
 def project_capped_simplex(v: np.ndarray, upper: np.ndarray, total: float) -> np.ndarray:

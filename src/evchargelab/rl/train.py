@@ -461,7 +461,7 @@ def sca_schedule(policy: PolicyParams, scenario: Scenario, reward_mode: str = RE
         t = env.t
         lo, _ = env.bounds()
         _, mu, _ = policy_forward(policy, env.state)
-        forced += int(np.sum(mu < lo - 1e-12))
+        forced += np.count_nonzero(mu < lo - 1e-12)
         B[:, t - 1], _ = env.step(mu)  # the env clips the mean into the corridor
     if forced:
         logger.debug("sca_schedule: %d force-charged components", forced)

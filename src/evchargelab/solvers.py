@@ -231,29 +231,21 @@ def _least_bill(ids, upper, demands, window: range, scenario: Scenario):
     return _decompose(upper, demands, base + pm.k0 / (2.0 * pm.k1), np.full(len(window), np.inf))
 
 
-def _row_shifts(V: np.ndarray, U: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Per-row tau with sum(clip(V - tau, 0, U)) = total, for 0 <= total <= sum(U).
-
-    The sum is piecewise linear in tau with breakpoints at V and V - U, so tau
-    is found exactly by sorting the breakpoints and interpolating on the
-    segment that brackets the total (Kiwiel 2008); all rows are solved at once.
-    """
-    n, m = V.shape
-    rows = np.arange(n)
-    points = np.concatenate([V, V - U], axis=1)
-    order = np.argsort(-points, axis=1, kind="stable")
-    points = points[rows[:, None], order]
-    # Entries active (strictly between their two breakpoints) just below each
-    # point: an entry enters at its upper breakpoint v and leaves at v - u.
-    active = np.where(order < m, 1.0, -1.0).cumsum(axis=1)
-    sums = np.zeros((n, 2 * m))
-    sums[:, 1:] = np.cumsum(active[:, :-1] * (points[:, :-1] - points[:, 1:]), axis=1)
-    k = np.clip((sums < totals[:, None]).sum(axis=1), 1, 2 * m - 1)
-    below = k - 1
-    slope = np.maximum(active[rows, below], 1.0)
-    tau = points[rows, below] - (totals - sums[rows, below]) / slope
-    tau = np.where(totals <= 0.0, points[:, 0], tau)
-    return np.where(totals >= sums[:, -1], points[:, -1], tau)
+def _water_level(v, room, total):
+    """tau with sum(clip(v - tau, 0, room)) = total, for 0 <= total <= sum(room), found exactly by sorting
+    the breakpoints v and v - room (Kiwiel 2008); `projections._row_shifts` does it for many rows."""
+    points = np.concatenate([v, v - room])
+    order = np.argsort(-points, kind="stable")
+    points = points[order]
+    # Entries strictly between their breakpoints just below each point (in at v, out at v - room).
+    active = np.where(order < v.size, 1.0, -1.0).cumsum()
+    sums = np.concatenate([[0.0], np.cumsum(active[:-1] * (points[:-1] - points[1:]))])
+    if total >= sums[-1]:
+        return points[-1]
+    if total <= 0.0:
+        return points[0]
+    below = min(max(int(np.count_nonzero(sums < total)), 1), points.size - 1) - 1
+    return points[below] - (total - sums[below]) / max(active[below], 1.0)
 
 
 def _decompose(upper, demands, c, cap_room):
@@ -272,20 +264,24 @@ def _decompose(upper, demands, c, cap_room):
     cap room (a low block). The caller must have checked that the demands
     fit. Identical EVs get identical rows.
     """
-    X = np.zeros(upper.shape)
-    flows = 0
+    upper = np.ascontiguousarray(upper)
+    X, flows = np.zeros(upper.shape), 0
     stack = [(np.arange(upper.shape[0]), np.arange(upper.shape[1]), demands, c, cap_room)]
     while stack:
         rows, cols, d, c, cap = stack.pop()
-        U = upper[np.ix_(rows, cols)]
+        # The first block is all of `upper`, C-ordered like the copies of the others.
+        U = upper[np.ix_(rows, cols)] if flows else upper
         room = np.minimum(U.sum(axis=0), cap)
-        level = np.clip(-c - _row_shifts(-c[None, :], room[None, :], np.array([d.sum()])), 0.0, room)
+        level = np.clip(-c - _water_level(-c, room, d.sum()), 0.0, room)
         _, evs, slots, F = _max_flow(d, U, level)
         flows += 1
         # No source-side EV: every demand is met. All slots on the source
         # side: the flow is short by rounding only.
         if not evs.any() or slots.all():
-            X[np.ix_(rows, cols)] = F
+            if U is upper:
+                X = F
+            else:
+                X[np.ix_(rows, cols)] = F
             continue
         full = U[evs][:, ~slots]
         load = full.sum(axis=0)
@@ -350,17 +346,21 @@ def kkt_residual(B, scenario: Scenario) -> float:
 def solve_rolling_step(scenario: Scenario, t: int, residuals: dict[int, float]) -> RollingStepResult:
     """Re-solve the window problem at slot t for the currently parked EVs.
 
-    residuals maps parked EV ids to their remaining demand; negative
-    residuals are rejected. The window runs from t to the last departure.
+    residuals maps EV ids to their remaining demand; EVs not parked at t are left out, and negative
+    residuals and ids the scenario lacks are refused. The window runs from t to the last departure.
     """
     if any(r < -DEFAULT_TOL for r in residuals.values()):
         raise SolverError("residual demands must be non-negative")
-    rows = np.flatnonzero(np.isin(scenario.ids, list(residuals)) & scenario.mask[:, t - 1])
-    if not rows.size:
+    all_ids = scenario.ids.tolist()
+    if residuals.keys() - all_ids:
+        raise SolverError(f"no EV with id {', '.join(map(str, sorted(residuals.keys() - all_ids)))} in the scenario")
+    rows = [i for i, (ev_id, parked) in enumerate(zip(all_ids, scenario.mask[:, t - 1].tolist()))
+            if parked and ev_id in residuals]
+    if not rows:
         raise SolverError(f"no EV parked at slot {t}")
-    ids = tuple(scenario.ids[rows].tolist())
+    ids = tuple([all_ids[i] for i in rows])  # from a list: from a generator, OA's peak RSS grew over long runs
     t_end = int(scenario.t_dep[rows].max())
-    upper = scenario.upper[rows, t - 1 : t_end]
+    upper = np.where(scenario.mask[rows, t - 1 : t_end], scenario.b_max[rows, None], 0.0)
     demands = np.maximum([residuals[i] for i in ids], 0.0)
     window = range(t, t_end + 1)
     amounts, _ = _least_bill(ids, upper, demands, window, scenario)

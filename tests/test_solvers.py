@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 from evchargelab.baselines import ec_schedule
 from evchargelab.harness import benchmark_spec, benchmark_train_config, build_scenario
 from evchargelab.model import ChargingSchedule, horizon_cost, validate_schedule
-from evchargelab.projections import project_rows_capped_simplex
+from evchargelab.projections import _row_shifts, project_rows_capped_simplex
 from evchargelab.rl import calc_schedule, load_policy
 from evchargelab.rl.nets import policy_forward
 from evchargelab.scenario import synthetic_base_load
@@ -26,6 +26,7 @@ from evchargelab.solvers import (
     SolverError,
     _decompose,
     _max_flow,
+    _water_level,
     kkt_residual,
     project_allocation,
     solve_offline,
@@ -376,6 +377,20 @@ def assert_max_flow_matches_networkx(mask, b_max, demands, caps):
     assert cut == pytest.approx(flow, abs=1e-9)
 
 
+@pytest.mark.parametrize("m", [1, 2, 5, 12])
+def test_water_level_is_the_row_shift_of_one_row_bit_for_bit(m):
+    # Values on a 0.1 grid tie many breakpoints; a quarter of the entries have no room;
+    # the totals run from below 0 to above the row's room, where the shift clamps.
+    rng = np.random.default_rng(m)
+    V = np.round(rng.uniform(-3.0, 3.0, (300, m)), 1)
+    U = np.round(rng.uniform(0.0, 2.0, (300, m)), 1) * (rng.random((300, m)) > 0.25)
+    totals = U.sum(axis=1) * rng.choice([-0.5, 0.0, 0.1, 0.5, 0.9, 1.0, 1.5], 300)
+    shifts = _row_shifts(V, U, totals)
+    levels = np.array([_water_level(v, u, total) for v, u, total in zip(V, U, totals)])
+    assert levels.tobytes() == shifts.tobytes()
+    assert np.any(totals <= 0.0) and np.any(totals >= U.sum(axis=1)) and np.any(U == 0.0)
+
+
 def test_decompose_reads_a_fortran_ordered_upper_bit_for_bit():
     # The blocks' column sums must not depend on how the caller laid out `upper`: a
     # Fortran-ordered (n, T) array sums its columns pairwise, a C-ordered one row by
@@ -532,6 +547,19 @@ class TestRollingStep:
         scn = make_scenario(evs, horizon=3, base_load=[4.0] * 3, load_cap=5.0)
         with pytest.raises(InfeasibleScenarioError, match=r"EVs 3, 5 need 4\.000 kWh.*slots 2, 3 "):
             solve_rolling_step(scn, 2, {3: 2.0, 5: 2.0})
+
+    def test_unknown_ids_refused(self):
+        # EV 99's 5 kWh must not vanish from the plan without a word.
+        scn = make_scenario([make_ev(1, 1, 3, demand=2.0, b_max=2.0), make_ev(2, 1, 3, demand=1.0)], horizon=3)
+        with pytest.raises(SolverError, match=r"no EV with id 7, 99 in the scenario"):
+            solve_rolling_step(scn, 1, {1: 1.0, 99: 5.0, 7: 1.0})
+
+    def test_ids_not_parked_at_t_left_out(self):
+        # EV 2 is known but leaves at slot 1, so the re-solve at slot 2 plans EV 1 alone.
+        scn = make_scenario([make_ev(1, 1, 3, demand=2.0, b_max=2.0), make_ev(2, 1, 1, demand=1.0)], horizon=3)
+        step = solve_rolling_step(scn, 2, {1: 1.5, 2: 1.0})
+        assert step.ev_ids == (1,) and step.window == range(2, 4)
+        assert step.amounts.sum() == pytest.approx(1.5)
 
     def test_residual_exceeding_window_rejected(self):
         ev = make_ev(1, t_arr=2, t_dep=3, demand=2.0, b_max=1.0)
