@@ -181,7 +181,7 @@ def main(argv=None) -> dict:
         other = _load_tree(args.against)
         other_flat = [other["harness"].build_scenario(other["harness"].benchmark_spec(), seed)[0] for seed in seeds]
         other_runs = _runs(other["solvers"], other["baselines"], other_flat, targets, caps)
-        report["race"] = {"against": args.against, "against_commit": _commit(args.against), "base_loads": {
+        report["race"] = {"against_commit": _commit(args.against), "base_loads": {
             load: {name: _race([(run, inputs), (other_run, other_inputs)], args.repeats)
                    for (name, run, inputs), (_, other_run, other_inputs) in zip(runs[load], other_runs[load])}
             for load in runs}}
