@@ -344,6 +344,7 @@ def aem_schedule(table: QTable, scenario: Scenario) -> ChargingSchedule:
     """
     check_evs_can_finish(scenario)
 
+    @functools.cache  # a greedy rollout never writes the table
     def pick(state):
         level = table.greedy_level(state)
         return 0 if level is None else level

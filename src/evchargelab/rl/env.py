@@ -45,6 +45,54 @@ REWARD_EXACT = "exact-cost"
 REWARD_REGRET = "flat-regret"
 REWARD_MODES = (REWARD_EXACT, REWARD_REGRET)
 
+
+# The formulas of what a policy reads and of the corridor its action is clipped into. The envs
+# and the greedy rollouts of `rl.train` both call them; with a leading row axis each answers per row.
+def price_scale(price, load_cap, base_load, b_max):
+    """The per-EV state's price unit: the unit price at the load cap (twice the peak base load
+    without one), or at the fleet's top rate where that is 0 (k0 = 0 on a zero base load)."""
+    cap = np.where(np.isfinite(load_cap), load_cap, 2.0 * base_load.max(axis=-1))
+    scale = price.unit_price(cap)
+    return np.maximum(np.where(scale > 0, scale, price.unit_price(b_max.sum(-1))), 1e-9)
+
+
+def charging_state(soc_init, charged, capacity, parked, price, load, scale) -> np.ndarray:
+    """The per-EV state: each parked EV's SOC (0 for the rest), then the unit price at `load` over `scale`."""
+    soc = np.minimum(soc_init + charged / capacity, 1.0)
+    unit = price.unit_price(load) / scale
+    return np.concatenate((np.where(parked, soc, 0.0), np.asarray(unit)[..., None]), axis=-1)
+
+
+def charging_bounds(residuals, b_max, slots_after, live):
+    """The per-EV corridor [lo, hi]: each `live` EV's `laxity_corridor`, with lo at most hi; 0 for the rest."""
+    lo, hi = laxity_corridor(residuals, b_max, slots_after)
+    return np.where(live, np.minimum(lo, hi), 0.0), np.where(live, hi, 0.0)
+
+
+def aggregate_corridor(residuals, b_max, slots_after, live):
+    """Each EV's `laxity_corridor`, then its sums over the `live` EVs: the laxity minima (at most
+    the headroom), the headroom, and the gap (each residual over its slots left, this one included)."""
+    corridor = laxity_corridor(residuals, b_max, slots_after)
+    gap = np.divide(residuals, slots_after + 1, out=np.zeros(residuals.shape), where=live)
+    lo, hi, gap = masked_sum(np.array((*corridor, gap)), live)
+    return corridor, np.minimum(lo, hi), hi, gap
+
+
+def action_scale(demand, horizon: int):
+    """The aggregate action's unit, the mean fleet energy per slot: the policy acts on O(1) values."""
+    return np.maximum(demand.sum(axis=-1) / max(horizon, 1), 1e-9)
+
+
+def lb_scale(base_load):
+    """The reduced state's base-load unit: the peak base load."""
+    return np.maximum(base_load.max(axis=-1), 1e-9)
+
+
+def aggregate_state(gap, load, a_scale, l_scale) -> np.ndarray:
+    """The reduced state (soc_ev, l_b), C-contiguous with rows first for the policy's forward pass."""
+    return np.array((gap / a_scale, load / l_scale)).T.copy()
+
+
 # Per-row scenario data that a reset replaces.
 _ROW_DATA = ("t_arr", "t_dep", "demand", "b_max", "capacity", "soc_init", "mask", "base_load", "load_cap")
 
@@ -130,24 +178,19 @@ class ChargingEnv(_Episodes):
         else:
             self.charged[rows] = 0.0
             self._last_ev_load[rows] = 0.0
-        cap = np.where(np.isfinite(self.load_cap), self.load_cap, 2.0 * self.base_load.max(axis=-1))
-        scale = self.price.unit_price(cap)  # 0 with k0 = 0 on a zero base load: the fleet's top rate scales then
-        self.price_scale = np.maximum(np.where(scale > 0, scale, self.price.unit_price(self.b_max.sum(-1))), 1e-9)
+        self.price_scale = price_scale(self.price, self.load_cap, self.base_load, self.b_max)
 
     def _observe(self) -> np.ndarray:
         """State of slot t (SOC entries, then price); also caches the slot's corridor, which `bounds` returns."""
         t = np.asarray(self.t)[..., None]
         slot = np.minimum(self.t, self.horizon)
         parked = self._parked(slot)
-        lo, hi = laxity_corridor(self.residuals, self.b_max, self.t_dep - t)
         live = parked & (self.residuals > 0) & (t <= self.horizon)
-        self._bounds = np.where(live, np.minimum(lo, hi), 0.0), np.where(live, hi, 0.0)
-        soc = np.minimum(self.soc_init + self.charged / self.capacity, 1.0)
+        self._bounds = charging_bounds(self.residuals, self.b_max, self.t_dep - t, live)
         # Known information at decision time: this slot's base load plus the
         # EV load just realized in the previous slot.
-        lb = self._at_slot(self.base_load, slot)
-        price = self.price.unit_price(lb + self._last_ev_load) / self.price_scale
-        return np.concatenate((np.where(parked, soc, 0.0), np.asarray(price)[..., None]), axis=-1)
+        load = self._at_slot(self.base_load, slot) + self._last_ev_load
+        return charging_state(self.soc_init, self.charged, self.capacity, parked, self.price, load, self.price_scale)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Feasibility corridor [lo, hi] for each EV in the current slot."""
@@ -181,23 +224,17 @@ class AggregateEnv(_Episodes):
     def _start(self, rows):
         self._order = np.ravel_multi_index((*(row[:, None] for row in self._rows),
                                             self.t_dep.argsort(axis=-1, kind="stable")), self.t_dep.shape)
-        self.lb_scale = np.maximum(self.base_load.max(axis=-1), 1e-9)
-        # Actions are expressed in units of the mean fleet energy per slot so
-        # the policy operates on O(1) values regardless of fleet size.
-        self.action_scale = np.maximum(self.demand.sum(axis=-1) / max(self.horizon, 1), 1e-9)
+        self.lb_scale = lb_scale(self.base_load)
+        self.action_scale = action_scale(self.demand, self.horizon)
 
     def _observe(self) -> np.ndarray:
         """Reduced state (soc_ev, l_b) of slot t; also caches the slot's parked
         EVs (`_live`), their corridor, and the corridor's sums (kWh)."""
         t = np.minimum(self.t, self.horizon)
         live = self._live = self._parked(t) & (self.residuals > 1e-9)
-        slots_after = self.t_dep - t[..., None]
-        lo, hi = self._corridor = laxity_corridor(self.residuals, self.b_max, slots_after)
-        gap = np.divide(self.residuals, slots_after + 1, out=np.zeros(self.residuals.shape), where=live)
-        lo, self._hi, gap = masked_sum(np.array((lo, hi, gap)), live)
-        self._lo = np.minimum(lo, self._hi)
-        # C-contiguous, with rows first, for the policy's forward pass.
-        return np.array((gap / self.action_scale, self._at_slot(self.base_load, t) / self.lb_scale)).T.copy()
+        self._corridor, self._lo, self._hi, gap = aggregate_corridor(self.residuals, self.b_max,
+                                                                     self.t_dep - t[..., None], live)
+        return aggregate_state(gap, self._at_slot(self.base_load, t), self.action_scale, self.lb_scale)
 
     def bounds(self) -> tuple[float, float]:
         """Aggregate corridor (in action units): laxity minima up to headroom."""

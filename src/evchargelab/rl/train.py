@@ -34,9 +34,21 @@ from pathlib import Path
 
 import numpy as np
 
-from ..model import ChargingSchedule, Scenario
+from ..model import ChargingSchedule, Scenario, allocate_aggregate
 from ..solvers import check_evs_can_finish, project_allocation
-from .env import REWARD_EXACT, REWARD_MODES, AggregateEnv, ChargingEnv
+from .env import (
+    REWARD_EXACT,
+    REWARD_MODES,
+    AggregateEnv,
+    ChargingEnv,
+    action_scale,
+    aggregate_corridor,
+    aggregate_state,
+    charging_bounds,
+    charging_state,
+    lb_scale,
+    price_scale,
+)
 from .nets import (
     CRITIC_HIDDEN,
     POLICY_HIDDEN,
@@ -450,42 +462,78 @@ def replay_training(scenario_sampler, state_dim: int, action_dim: int, cfg: Trai
 def sca_schedule(policy: PolicyParams, scenario: Scenario, reward_mode: str = REWARD_EXACT) -> ChargingSchedule:
     """Greedy (mean-action) rollout of a trained full-state policy.
 
-    The feasibility corridor force-charges any residual an EV could not
-    otherwise meet; forced amounts are logged as policy diagnostics.
+    Slot by slot, as the one-scenario `ChargingEnv` steps, it commits the
+    policy mean clipped into each EV's feasibility corridor, and stops once
+    every residual is done. A slot where no parked EV has a residual commits
+    nothing and runs no forward pass; the rollout bills nothing. The corridor
+    force-charges any residual an EV could not otherwise meet; the components
+    whose positive floor lies above the mean are logged as policy diagnostics.
     """
     check_evs_can_finish(scenario)
-    env = ChargingEnv(scenario, reward_mode)
-    B = np.zeros((scenario.n_evs, scenario.horizon))
-    forced = 0
-    while not env.done:
-        t = env.t
-        lo, _ = env.bounds()
-        _, mu, _ = policy_forward(policy, env.state)
-        forced += np.count_nonzero(mu < lo - 1e-12)
-        B[:, t - 1], _ = env.step(mu)  # the env clips the mean into the corridor
+    if reward_mode != REWARD_EXACT:
+        raise ValueError(f"reward mode {reward_mode!r} not available for the per-EV env")
+    sc = scenario
+    # Slot-major: row t - 1 of B and of `parked` is slot t.
+    B = np.zeros((sc.horizon, sc.n_evs))
+    parked = sc.mask.T
+    residuals, charged = sc.demand.copy(), np.zeros(sc.n_evs)
+    scale = price_scale(sc.price, sc.load_cap, sc.base_load, sc.b_max)
+    ev_load = 0.0  # the EV load of the slot before, which the state's price reads
+    forced, counting = 0, logger.isEnabledFor(logging.DEBUG)
+    for t in range(1, sc.horizon + 1):
+        live = parked[t - 1] & (residuals > 0)
+        if live.any():
+            floor, ceiling = charging_bounds(residuals, sc.b_max, sc.t_dep - t, live)
+            state = charging_state(sc.soc_init, charged, sc.capacity, parked[t - 1], sc.price,
+                                   sc.base_load[t - 1] + ev_load, scale)
+            _, mu, _ = policy_forward(policy, state)
+            if counting:
+                forced += np.count_nonzero((floor > 0) & (mu < floor - 1e-12))
+            amounts = B[t - 1] = mu.clip(floor, ceiling)
+            ev_load = amounts.sum()  # over every EV, as the env sums it
+            residuals -= amounts
+            charged += amounts
+        else:
+            ev_load = 0.0  # no EV can charge: the slot commits nothing
+        if (residuals <= 1e-9).all():  # the env's done test
+            break
     if forced:
         logger.debug("sca_schedule: %d force-charged components", forced)
-    return ChargingSchedule(B)
+    return ChargingSchedule(B.T.copy())
 
 
 def calc_aggregate_series(policy: PolicyParams, scenario: Scenario, reward_mode: str = REWARD_EXACT) -> np.ndarray:
     """Stage-1 greedy rollout: the policy's own per-slot fleet energy targets (kWh).
 
-    The aggregate env is stepped with the policy mean to reach each state,
-    but the series records what the policy asks for, not what the env
-    committed after its laxity clamp and earliest-deadline-first split;
-    stage 2 would otherwise only reproduce the clamped rollout. The series
-    depends on the states alone, so the rollout bills exact costs whatever
-    the (checked) `reward_mode`, and skips the flat-regret term.
+    Slot by slot, as the one-scenario `AggregateEnv` steps, the policy mean
+    drives the rollout's states through the env's laxity clamp and
+    earliest-deadline-first split, but the series records what the policy
+    asks for, not what the split committed; stage 2 would otherwise only
+    reproduce the clamped rollout. Only a slot with a parked residual runs
+    the split, and the rollout bills nothing, so the (checked) `reward_mode`
+    does not change the series.
     """
     if reward_mode not in REWARD_MODES:
         raise ValueError(f"unknown reward mode {reward_mode!r}")
-    env = AggregateEnv(scenario)
-    series = np.zeros(scenario.horizon)
-    while not env.done:
-        _, mu, _ = policy_forward(policy, env.state)
-        series[env.t - 1] = max(float(mu[0]), 0.0) * env.action_scale
-        env.step(float(mu[0]))
+    sc = scenario
+    series = np.zeros(sc.horizon)
+    parked = sc.mask.T
+    residuals = sc.demand.copy()
+    order = sc.t_dep.argsort(kind="stable")
+    a_scale, l_scale = action_scale(sc.demand, sc.horizon), lb_scale(sc.base_load)
+    for t in range(1, sc.horizon + 1):
+        live = parked[t - 1] & (residuals > 1e-9)
+        any_live = live.any()
+        gap = 0.0  # with no live EV, the slot commits nothing
+        if any_live:
+            corridor, lo, hi, gap = aggregate_corridor(residuals, sc.b_max, sc.t_dep - t, live)
+        _, mu, _ = policy_forward(policy, aggregate_state(gap, sc.base_load[t - 1], a_scale, l_scale))
+        action = float(mu[0])
+        series[t - 1] = max(action, 0.0) * a_scale
+        if any_live:
+            residuals -= allocate_aggregate(live, corridor, order, np.minimum(np.maximum(a_scale * action, lo), hi))
+        if sc.n_evs and (residuals <= 1e-9).all():  # the env's done test
+            break
     return series
 
 

@@ -1,5 +1,6 @@
 """Actor-critic training loop tests: updates, schedules, replay, divergence."""
 
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,19 @@ class TestTraining:
         sched = sca_schedule(policy, scn)
         assert np.all(np.isfinite(sched.amounts))
         assert validate_schedule(sched, scn).passed
+
+    def test_sca_counts_only_the_components_its_corridor_forces(self, caplog):
+        # Every mean is -1 kWh. The zero-laxity EV's floor is positive and above it in each of
+        # its 3 slots; the EV with slack needs nothing, so its floor stays 0, and is not counted.
+        evs = [make_ev(0, 1, 3, demand=6.0, b_max=2.0), make_ev(1, 1, 4, demand=0.0, b_max=2.0)]
+        scn = make_scenario(evs, horizon=5)
+        policy = init_policy(scn.n_evs + 1, scn.n_evs, np.random.default_rng(0), hidden=4)
+        policy.flat[:] = 0.0
+        policy.b_mu[:] = -1.0
+        with caplog.at_level(logging.DEBUG, logger="evchargelab.rl.train"):
+            sched = sca_schedule(policy, scn)
+        assert sched.amounts.tolist() == [[2.0, 2.0, 2.0, 0.0, 0.0], [0.0] * 5]
+        assert caplog.messages == ["sca_schedule: 3 force-charged components"]
 
     def test_calc_stage1_and_projection(self):
         for k in range(2):
