@@ -1,25 +1,29 @@
-"""Speed of the exact solvers: the OA baseline, the offline oracle and CALC's target split, in ms per fleet.
+"""Speed of the exact solvers and the scheduling rollouts, in ms per fleet.
 
 Runs `oa_schedule` and `solve_offline` on benchmark fleets 1..`--fleets`,
 once on the shipped flat base load and once on `synthetic_base_load`; on the
 flat base load it also runs `project_allocation` on the stage-1 targets of
 the stored CALC policy (perfbench/inputs/calc_policy.txt), once uncapped
 (`split`) and once under a load cap of 1.02x the oracle's peak, which on a
-flat base load is the least achievable peak (`split_capped`). It writes
+flat base load is the least achievable peak (`split_capped`), and the
+rollouts `sca_schedule` (`SCA`), `calc_schedule` (`CALC`) and `aem_schedule`
+(`AEM`) of the stored policies and table in perfbench/inputs. It writes
 `BENCH_solvers.json`: the commit, and per base load and operation the median
-and fastest CPU ms per fleet over `--repeats` passes, OA's re-solve count,
-and the `_max_flow` calls with their CPU µs per call. The counts come from
-`--repeats` extra passes with counting wrappers, which are not timed; the µs
-per call is that of the fastest of them.
+and fastest CPU ms per fleet over `--repeats` passes; for the solver
+operations also OA's re-solve count, and the `_max_flow` calls with their CPU
+µs per call. The counts come from `--repeats` extra passes with counting
+wrappers, which are not timed; the µs per call is that of the fastest of them.
 
 Passes run back to back land in the same phase of a busy machine, so two
 files written one after the other can differ by 2x for the same code.
 `--against DIR` compares two trees in one process instead: it imports
 DIR/src/evchargelab under a second package name and, for every operation
-and fleet, alternates the two versions call by call, taking the fastest of
-`--repeats` calls on each side. The `race` block holds the ms per fleet of
-each side, their ratio (`speedup`, DIR's time over this tree's), the fleets
-on which this tree was faster, and whether every output's bytes matched.
+and fleet, the rollouts included, alternates the two versions call by call,
+taking the fastest of `--repeats` calls on each side. Each tree's rollouts
+run the policies and table of its own perfbench/inputs. The `race` block
+holds the ms per fleet of each side, their ratio (`speedup`, DIR's time over
+this tree's), the fleets on which this tree was faster, and whether every
+output's bytes matched.
 Run from the repository root with:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 demos/bench_solvers.py --out BENCH_solvers.json [--against DIR]
@@ -41,11 +45,11 @@ from pathlib import Path
 
 from evchargelab import baselines, solvers
 from evchargelab.harness import benchmark_spec, build_scenario
-from evchargelab.rl import load_policy
-from evchargelab.rl.train import calc_aggregate_series
+from evchargelab.rl import serialize, train
 from evchargelab.scenario import synthetic_base_load
 
-CALC_POLICY = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "calc_policy.txt"
+ROOT = Path(__file__).resolve().parent.parent
+ROLLOUTS = ("SCA", "CALC", "AEM")  # timed only: the counts are the solvers'
 
 
 def _commit(cwd=None) -> str:
@@ -92,18 +96,20 @@ def _counts(run, inputs, passes) -> dict:
 
 
 def _load_tree(root):
-    """The solvers, baselines and harness of the evchargelab package under root/src, imported as
-    the package `evchargelab_against`; its relative imports resolve inside that copy."""
+    """The solvers, baselines, harness, rl.train and rl.serialize of the evchargelab package under
+    root/src, imported as the package `evchargelab_against`; its relative imports resolve inside
+    that copy."""
     name, package = "evchargelab_against", Path(root).resolve() / "src" / "evchargelab"
     spec = importlib.util.spec_from_file_location(name, package / "__init__.py",
                                                   submodule_search_locations=[str(package)])
     sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sys.modules[name])
-    return {sub: importlib.import_module(f"{name}.{sub}") for sub in ("solvers", "baselines", "harness")}
+    return {sub: importlib.import_module(f"{name}.{sub}")
+            for sub in ("solvers", "baselines", "harness", "rl.train", "rl.serialize")}
 
 
 def _amounts(output):
-    """The schedule's amounts of an OA, oracle or split output."""
+    """The schedule's amounts of a schedule, or of an oracle or split output."""
     return getattr(output, "schedule", output).amounts
 
 
@@ -131,9 +137,14 @@ def _race(sides, repeats) -> dict:
             "fleets": len(inputs), "same_bytes": same}
 
 
-def _runs(solvers, baselines, flat, targets, caps) -> dict:
-    """Per base load, the (name, run, inputs) of each operation of one tree's solvers and baselines
-    on its own scenarios of the flat benchmark fleets, the CALC targets and the split's load caps."""
+def _runs(tree, root, flat, targets, caps) -> dict:
+    """Per base load, the (name, run, inputs) of each operation of one tree's modules, with the
+    policies and table stored under root/perfbench/inputs, on its own scenarios of the flat
+    benchmark fleets, the CALC targets and the split's load caps."""
+    solvers, baselines, train = tree["solvers"], tree["baselines"], tree["rl.train"]
+    inputs = Path(root) / "perfbench" / "inputs"
+    sca, calc = (tree["rl.serialize"].load_policy(inputs / f"{name}_policy.txt") for name in ("sca", "calc"))
+    table = baselines.QTable.load(inputs / "aem_table.txt")
     synthetic = [replace(sc, base_load=synthetic_base_load(sc.horizon)) for sc in flat]
     capped = [replace(sc, load_cap=cap) for sc, cap in zip(flat, caps)]
 
@@ -141,7 +152,10 @@ def _runs(solvers, baselines, flat, targets, caps) -> dict:
         return solvers.project_allocation(pair[1], pair[0])
 
     return {"flat": [("OA", baselines.oa_schedule, flat), ("oracle", solvers.solve_offline, flat),
-                     ("split", split, list(zip(flat, targets))), ("split_capped", split, list(zip(capped, targets)))],
+                     ("split", split, list(zip(flat, targets))), ("split_capped", split, list(zip(capped, targets))),
+                     ("SCA", lambda sc: train.sca_schedule(sca, sc), flat),
+                     ("CALC", lambda sc: train.calc_schedule(calc, sc), flat),
+                     ("AEM", lambda sc: baselines.aem_schedule(table, sc), flat)],
             "synthetic": [("OA", baselines.oa_schedule, synthetic), ("oracle", solvers.solve_offline, synthetic)]}
 
 
@@ -159,10 +173,11 @@ def main(argv=None) -> dict:
     flat = [build_scenario(benchmark_spec(), seed)[0] for seed in seeds]
     report = {"bench": "solvers", "commit": args.commit or _commit(), "fleets": args.fleets,
               "repeats": args.repeats, "python": platform.python_version(), "base_loads": {}}
-    calc = load_policy(CALC_POLICY)
-    targets = [calc_aggregate_series(calc, sc) for sc in flat]
+    calc = serialize.load_policy(ROOT / "perfbench" / "inputs" / "calc_policy.txt")
+    targets = [train.calc_aggregate_series(calc, sc) for sc in flat]
     caps = [1.02 * float((solvers.solve_offline(sc).schedule.slot_totals() + sc.base_load).max()) for sc in flat]
-    runs = _runs(solvers, baselines, flat, targets, caps)
+    tree = {"solvers": solvers, "baselines": baselines, "rl.train": train, "rl.serialize": serialize}
+    runs = _runs(tree, ROOT, flat, targets, caps)
     for load, load_runs in runs.items():
         results = {}
         for name, run, inputs in load_runs:
@@ -172,15 +187,16 @@ def main(argv=None) -> dict:
                 for item in inputs:
                     run(item)
                 passes.append(1e3 * (time.process_time() - t0) / len(inputs))
-            results[name] = {"median_ms": round(statistics.median(passes), 3), "fastest_ms": round(min(passes), 3),
-                             **_counts(run, inputs, args.repeats)}
+            results[name] = {"median_ms": round(statistics.median(passes), 3), "fastest_ms": round(min(passes), 3)}
+            if name not in ROLLOUTS:
+                results[name].update(_counts(run, inputs, args.repeats))
             if name != "OA":  # only OA re-solves
-                del results[name]["resolves"]
+                results[name].pop("resolves", None)
         report["base_loads"][load] = results
     if args.against:
         other = _load_tree(args.against)
         other_flat = [other["harness"].build_scenario(other["harness"].benchmark_spec(), seed)[0] for seed in seeds]
-        other_runs = _runs(other["solvers"], other["baselines"], other_flat, targets, caps)
+        other_runs = _runs(other, args.against, other_flat, targets, caps)
         report["race"] = {"against_commit": _commit(args.against), "base_loads": {
             load: {name: _race([(run, inputs), (other_run, other_inputs)], args.repeats)
                    for (name, run, inputs), (_, other_run, other_inputs) in zip(runs[load], other_runs[load])}
