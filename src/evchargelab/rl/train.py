@@ -479,7 +479,7 @@ def sca_schedule(policy: PolicyParams, scenario: Scenario, reward_mode: str = RE
     residuals, charged = sc.demand.copy(), np.zeros(sc.n_evs)
     scale = price_scale(sc.price, sc.load_cap, sc.base_load, sc.b_max)
     ev_load = 0.0  # the EV load of the slot before, which the state's price reads
-    forced, counting = 0, logger.isEnabledFor(logging.DEBUG)
+    forced, counting = 0, logger.isEnabledFor(logging.DEBUG)  # the count is only logged
     for t in range(1, sc.horizon + 1):
         live = parked[t - 1] & (residuals > 0)
         if live.any():
